@@ -18,11 +18,12 @@ every sufficiently long extension, which the bounded depth-first search
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .morphism import MU, mu_decode
-from .repetition import _letters, is_power_free
+from .repetition import _gather, _runs, is_power_free
 from .words import DEFAULT_CAP
 
 FAMILY_A_BASES = ("00", "11", "010010", "101101")
@@ -96,24 +97,17 @@ def squares_in(word: str) -> list[tuple[int, str]]:
     (position, length).
 
     A square here is any factor of the form xx, reported at period |x|
-    even when the factor happens to have a smaller period.
+    even when the factor happens to have a smaller period.  A maximal
+    repetition (start, p, length) with length >= 2p holds the squares of
+    half p at start .. start + length - 2p.
     """
-    n = len(word)
-    out: list[tuple[int, str]] = []
-    if n < 2:
-        return out
-    arr = _letters(word)
-    for half in range(1, n // 2 + 1):
-        eq = arr[:-half] == arr[half:]
-        if len(eq) < half:
-            break
-        sums = np.cumsum(eq, dtype=np.int64)
-        windows = sums[half - 1 :].copy()
-        windows[1:] -= sums[:-half]
-        for i in np.flatnonzero(windows == half):
-            out.append((int(i), word[i : i + 2 * half]))
-    out.sort(key=lambda item: (item[0], len(item[1])))
-    return out
+    starts, halves, lengths = _gather(_runs(word, lambda: Fraction(2), False))
+    counts = lengths - 2 * halves + 1
+    shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
+    positions, halves = np.arange(int(counts.sum())) - shift, np.repeat(halves, counts)
+    order = np.lexsort((halves, positions))
+    pairs = zip(positions[order].tolist(), halves[order].tolist())
+    return [(i, word[i : i + 2 * h]) for i, h in pairs]
 
 
 def is_extendable_square(word: str) -> bool:

@@ -10,15 +10,23 @@ strictly above 2 (such as 01010).  Thresholds come in two flavours:
 * ``strict=True`` looks for exponent > a, and a word is *a+-power-free*
   ("a-plus", e.g. overlap-free = 2+) when no such factor exists.
 
-All comparisons are exact: thresholds are ``fractions.Fraction`` values
-and the kernel compares cross-multiplied integers, never floats.  The
-scan is quadratic in the word length, vectorized per period with numpy;
-desk-scale inputs (up to a few times 2^14 letters) finish in well under a
-second.
+Every query derives from one primitive, :func:`_runs`: the maximal
+repetitions meeting a threshold at every period, primitive or not.  It
+places checkpoints every d = max(need(p), 1) positions of period p,
+need(p) being the least run length that meets the threshold, and extends
+each by exact longest-common-extension (LCE) queries on 64-bit windows of
+letter codes, so a scan costs O(sum over p of n / need(p)) LCE queries:
+O(n log n) for thresholds of 2 or more, against n comparisons per period
+for a direct scan.  Periods with d below ``_CROSSOVER`` (32, where the two
+costs meet) are scanned directly, which keeps words of up to about 64
+letters on the plain per-period scan.  Thresholds stay exact ``Fraction``
+values: need(p) is integer arithmetic and the LCE counts letters with a
+de Bruijn table, never floats.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +65,22 @@ class PowerOccurrence:
         )
 
 
+# Periods of checkpoint spacing d below this are compared with the shifted
+# word directly (n letters, against n / d LCE queries).  Summed over the
+# queries on prefixes of t and a and on random words, the two break even
+# between 24 and 32.
+_CROSSOVER = 32
+# Periods, checkpoints, windows per LCE round and (times 4) letters per
+# batch of direct periods in one chunk: they bound the working set.
+_CHUNK = 4096
+
+_DEBRUIJN = np.uint64(0x022FDD63CC95386D)
+_TRAILING_ZEROS = np.zeros(64, dtype=np.int32)
+_TRAILING_ZEROS[
+    (np.uint64(1) << np.arange(64, dtype=np.uint64)) * _DEBRUIJN >> np.uint64(58)
+] = range(64)
+
+
 def _letters(word: str) -> np.ndarray:
     return np.frombuffer(word.encode("ascii"), dtype=np.uint8)
 
@@ -68,50 +92,147 @@ def _as_threshold(value: Fraction | int) -> Fraction:
     return threshold
 
 
-def _min_extension(num: int, den: int, period: int, strict: bool) -> int:
-    # Least m such that (period + m) / period exceeds (or reaches) num/den.
-    if strict:
-        return (num - den) * period // den + 1
-    q, r = divmod((num - den) * period, den)
-    return q + (1 if r else 0)
+def _spacings(thr: Fraction, strict: bool, first: int, n: int) -> np.ndarray:
+    """d = max(need(p), 1), clamped to n + 1, for the periods p >= first
+    with p + d <= n (at most _CHUNK of them): need(p) is the least
+    m with (p + m) / p above (strict) or at the threshold, computed in
+    int64 when the products fit and in Python integers when not."""
+    excess, den = thr.numerator - thr.denominator, thr.denominator
+    periods = np.arange(first, min(first + _CHUNK, n), dtype=np.int64)
+    wide = excess * n >= 1 << 62 or den >= 1 << 62
+    scaled = periods.astype(object if wide else np.int64) * excess
+    need = np.clip(scaled // den + 1 if strict else -(-scaled // den), 1, n + 1).astype(np.int64)
+    return need[: np.searchsorted(periods + need, n, side="right")]
 
 
-def _true_runs(eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and lengths of the maximal runs of True in a boolean array."""
-    padded = np.zeros(len(eq) + 2, dtype=np.int8)
-    padded[1:-1] = eq
-    delta = np.diff(padded)
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1)
-    return starts, ends - starts
+class _Windows:
+    """The 64-bit window of letter codes, ``bits`` bits a letter, that
+    starts at each position of a word (letters past its end read 0)."""
+
+    def __init__(self, codes: np.ndarray, bits: int):
+        self.per, self.equal_letters = 64 // bits, _TRAILING_ZEROS // bits
+        self.windows = np.zeros(len(codes) + 1, np.uint64)
+        self.windows[:-1] = codes
+        for span in (1, 2, 4, 8, 16, 32)[: (64 // bits).bit_length() - 1]:
+            self.windows[:-span] |= self.windows[span:] << np.uint64(span * bits)
+
+    def _window(self, pos: np.ndarray) -> np.ndarray:
+        # Positions past n are clipped: they only ever lie beyond the limit.
+        return np.take(self.windows, pos, mode="clip")
+
+    def _equal(self, diff: np.ndarray) -> np.ndarray:
+        """Letters before the first difference in XORed windows."""
+        low = diff & (~diff + np.uint64(1))
+        return np.where(diff == 0, self.per, self.equal_letters[low * _DEBRUIJN >> np.uint64(58)])
+
+    def lce(self, a: np.ndarray, b: np.ndarray, limit: np.ndarray) -> np.ndarray:
+        """For each i, the largest m <= limit[i] with letters a[i]..a[i]+m-1
+        equal to b[i]..b[i]+m-1; needs a[i] + limit[i] <= n and the same
+        for b.  Pairs equal over a whole window go on comparing twice as
+        many windows a round, up to _CHUNK windows a round in all."""
+        out = self._equal(self._window(a) ^ self._window(b))
+        live, span = np.flatnonzero((out == self.per) & (limit > self.per)), 2
+        while live.size:
+            offsets, start = np.arange(0, span * self.per, self.per), out[live]
+            diff = self._window((a[live] + start)[:, None] + offsets)
+            diff ^= self._window((b[live] + start)[:, None] + offsets)
+            first = (diff != 0).argmax(axis=1)
+            at_first = diff[np.arange(live.size), first]
+            gain = np.where(at_first == 0, span * self.per, offsets[first] + self._equal(at_first))
+            out[live] = start + gain
+            live = live[(at_first == 0) & (out[live] < limit[live])]
+            span = min(2 * span, max(1, _CHUNK // max(live.size, 1)))
+        return np.minimum(out, limit)
 
 
-def _window_hit(eq: np.ndarray, width: int) -> int | None:
-    """Index of the first all-True window of ``width``, or None.
+def _windows(word: str) -> tuple[_Windows, _Windows]:
+    """Windows of a word and of its reversal, letters coded by rank."""
+    arr = _letters(word)
+    present = np.bincount(arr, minlength=256) > 0
+    codes = (np.cumsum(present) - 1).astype(np.uint8)[arr]
+    bits = next(b for b in (1, 2, 4, 8) if int(present.sum()) <= 1 << b)
+    return _Windows(codes, bits), _Windows(codes[::-1], bits)
 
-    The first such index is always the start of a maximal run of length
-    >= width (an earlier True would move the window left).
+
+def _runs(
+    word: str, threshold: Callable[[], Fraction], strict: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The maximal repetitions of ``word`` that meet the threshold, as
+    int64 (starts, periods, lengths) arrays for chunks of ascending
+    periods.  Every run is reported once, in any order inside a chunk.
+
+    At period p a maximal run of w[i] == w[i+p] of L >= d = max(need(p), 1)
+    letters is the occurrence (start, p, p + L).  ``threshold()`` is read
+    again for each chunk, so a caller may raise it as it goes; a chunk
+    may then hold runs below the raised threshold.
+
+    Periods with d < _CROSSOVER compare the word with its shifts.  Longer
+    spacings place checkpoints q = 0, d, 2d, ... below n - p.  A run of at
+    least d letters covers at least one of them, and exactly one, its
+    first, extends backward by fewer than d letters; that checkpoint's
+    backward and forward LCEs give the run's start and length.
     """
-    if len(eq) < width:
-        return None
-    sums = np.cumsum(eq, dtype=np.int64)
-    windows = sums[width - 1 :].copy()
-    windows[1:] -= sums[:-width]
-    hits = windows == width
-    if not hits.any():
-        return None
-    return int(np.argmax(hits))
+    n, p, windows, arr = len(word), 1, None, _letters(word)
+    # The word padded with a byte no ASCII letter equals; row k of a view
+    # at offset p with strides (1, 1) is the word shifted left by p + k.
+    # (Built directly: sliding_window_view keeps memory on every call.)
+    padded_word = np.append(arr, np.full(n, 255, np.uint8))
+    index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
+    while p < n:
+        spacing = _spacings(threshold(), strict, p, n)
+        if not spacing.size:
+            return
+        if spacing[0] < _CROSSOVER:
+            rows = min(int(np.searchsorted(spacing, _CROSSOVER)), max(1, 4 * _CHUNK // n))
+            padded = np.zeros((rows, n + 2), np.int8)
+            shifted = np.ndarray((rows, n), np.uint8, padded_word, offset=p, strides=(1, 1))
+            padded[:, 1:-1] = shifted == arr
+            delta = np.diff(padded, axis=1).ravel()
+            row, starts = np.divmod(np.flatnonzero(delta == 1), n + 1)
+            lengths = np.flatnonzero(delta == -1) - row * (n + 1) - starts
+            keep = lengths >= spacing[row]
+            yield starts[keep], p + row[keep], p + row[keep] + lengths[keep]
+        else:
+            forward, backward = windows = windows or _windows(word)
+            counts = (n - 1 - p - np.arange(len(spacing))) // spacing + 1
+            rows = max(1, int(np.searchsorted(np.cumsum(counts), _CHUNK, side="right")))
+            k = np.repeat(np.arange(rows), counts[:rows])
+            first = np.cumsum(counts[:rows]) - counts[:rows]
+            q = (np.arange(len(k)) - first[k]) * spacing[k]
+            per, q, d = (x.astype(index) for x in (p + k, q, spacing[k]))
+            back = backward.lce(n - q - per, n - q, np.minimum(d, q))
+            per, q, d, back = (x[back < d] for x in (per, q, d, back))
+            ahead = forward.lce(q, q + per, n - q - per)
+            found = back + ahead >= d
+            per, q, back, ahead = (x[found].astype(np.int64) for x in (per, q, back, ahead))
+            yield q - back, per, per + back + ahead
+        p += rows
+
+
+def _gather(batches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All batches of runs as one (starts, periods, lengths) triple."""
+    columns = list(zip(*batches)) or [[np.zeros(0, np.int64)]] * 3
+    return tuple(np.concatenate(column) for column in columns)
+
+
+def _leftmost(starts, periods, lengths) -> tuple[int, int, int]:
+    """The run with the smallest start, then the smallest period."""
+    j = np.lexsort((periods, starts))[0]
+    return int(starts[j]), int(periods[j]), int(lengths[j])
 
 
 def smallest_period(word: str) -> int:
     """The least p >= 1 with word[i] == word[i+p] for all in-range i."""
     if not word:
         raise ValueError("empty word has no period")
-    arr = _letters(word)
-    for p in range(1, len(word)):
-        if (arr[:-p] == arr[p:]).all():
-            return p
-    return len(word)
+    n, (forward, _) = len(word), _windows(word)
+    for lo in range(1, n, _CHUNK):
+        periods = np.arange(lo, min(lo + _CHUNK, n))
+        lce = forward.lce(np.zeros_like(periods), periods, n - periods)
+        full = np.flatnonzero(lce == n - periods)
+        if full.size:
+            return int(periods[full[0]])
+    return n
 
 
 def exponent_of(word: str) -> Fraction:
@@ -126,23 +247,23 @@ def max_exponent(word: str) -> tuple[Fraction, PowerOccurrence]:
     by smallest start, then smallest period.  Every nonempty word has
     maximum at least 1 (witnessed by a single letter).
     """
-    n = len(word)
-    if n == 0:
+    if not word:
         raise ValueError("empty word has no factors")
-    best_exp = Fraction(1)
-    best = (0, 1, 1)
-    arr = _letters(word)
-    for p in range(1, n):
-        starts, lengths = _true_runs(arr[:-p] == arr[p:])
-        if len(starts) == 0:
-            continue
-        top = int(lengths.max())
-        exp = Fraction(p + top, p)
-        if exp < best_exp:
-            continue
-        i = int(starts[int(np.argmax(lengths == top))])
-        if exp > best_exp or (i, p) < (best[0], best[1]):
-            best_exp, best = exp, (i, p, p + top)
+    best_exp, best = Fraction(1), (0, 1, 1)
+    # Each chunk is scanned at the best exponent found before it, which
+    # skips every period that cannot beat it.
+    for starts, periods, lengths in _runs(word, lambda: best_exp, False):
+        above = lengths * best_exp.denominator > periods * best_exp.numerator
+        if raised := bool(above.any()):
+            top, per = 1, 1
+            for length, period in zip(lengths[above].tolist(), periods[above].tolist()):
+                if length * per > top * period:
+                    top, per = length, period
+            best_exp = Fraction(top, per)
+        tied = lengths * best_exp.denominator == periods * best_exp.numerator
+        if tied.any():
+            found = _leftmost(starts[tied], periods[tied], lengths[tied])
+            best = found if raised or found < best else best
     return best_exp, PowerOccurrence(*best)
 
 
@@ -157,50 +278,11 @@ def find_power(
     length is maximal for that (start, period) pair.
     """
     thr = _as_threshold(threshold)
-    n = len(word)
-    if n == 0:
-        return None
-    num, den = thr.numerator, thr.denominator
-    if num == den and not strict:
+    if word and thr == 1 and not strict:
         # Exponent 1 is reached by any single letter; extend at period 1.
-        m = 0
-        while 1 + m < n and word[m] == word[m + 1]:
-            m += 1
-        return PowerOccurrence(0, 1, 1 + m)
-    arr = _letters(word)
-    best: tuple[int, int, int] | None = None
-    for p in range(1, n):
-        need = _min_extension(num, den, p, strict)
-        if p + need > n:
-            break
-        eq = arr[:-p] == arr[p:]
-        i = _window_hit(eq, need)
-        if i is None:
-            continue
-        tail = eq[i:]
-        gaps = np.flatnonzero(~tail)
-        run = int(gaps[0]) if gaps.size else len(tail)
-        if best is None or (i, p) < (best[0], best[1]):
-            best = (i, p, p + run)
-    return PowerOccurrence(*best) if best is not None else None
-
-
-def _has_power(word: str, threshold: Fraction, strict: bool) -> bool:
-    # Same scan as find_power without the leftmost-witness bookkeeping.
-    n = len(word)
-    if n == 0:
-        return False
-    num, den = threshold.numerator, threshold.denominator
-    if num == den and not strict:
-        return True
-    arr = _letters(word)
-    for p in range(1, n):
-        need = _min_extension(num, den, p, strict)
-        if p + need > n:
-            break
-        if _window_hit(arr[:-p] == arr[p:], need) is not None:
-            return True
-    return False
+        return PowerOccurrence(0, 1, len(word) - len(word.lstrip(word[0])))
+    found = [_leftmost(*runs) for runs in _runs(word, lambda: thr, strict) if runs[0].size]
+    return PowerOccurrence(*min(found)) if found else None
 
 
 def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> bool:
@@ -210,7 +292,10 @@ def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> b
     free).  ``plus=True``: no factor of exponent > threshold (the "plus"
     form; overlap-free is ``is_power_free(w, 2, plus=True)``).
     """
-    return not _has_power(word, _as_threshold(threshold), strict=plus)
+    thr = _as_threshold(threshold)
+    if thr == 1 and not plus:
+        return not word
+    return not any(starts.size for starts, _, _ in _runs(word, lambda: thr, plus))
 
 
 def list_repetitions(
@@ -224,22 +309,7 @@ def list_repetitions(
     factors longer than their period are reported.
     """
     thr = _as_threshold(min_exponent)
-    num, den = thr.numerator, thr.denominator
-    n = len(word)
-    out: list[PowerOccurrence] = []
-    if n < 2:
-        return out
-    arr = _letters(word)
-    for p in range(1, n):
-        starts, lengths = _true_runs(arr[:-p] == arr[p:])
-        if len(starts) == 0:
-            continue
-        totals = lengths + p
-        if strict:
-            keep = den * totals > num * p
-        else:
-            keep = den * totals >= num * p
-        for j in np.flatnonzero(keep):
-            out.append(PowerOccurrence(int(starts[j]), p, int(totals[j])))
-    out.sort(key=lambda occ: (occ.start, occ.period))
-    return out
+    starts, periods, lengths = _gather(_runs(word, lambda: thr, strict))
+    order = np.lexsort((periods, starts))
+    rows = zip(starts[order].tolist(), periods[order].tolist(), lengths[order].tolist())
+    return [PowerOccurrence(*row) for row in rows]
