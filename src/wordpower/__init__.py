@@ -51,8 +51,6 @@ from .morphism import (
     descend_power,
     factorize,
     mu_decode,
-    named_morphism,
-    parse_morphism,
 )
 from .repetition import (
     PowerOccurrence,
@@ -70,7 +68,6 @@ from .words import (
     complement,
     conjugates,
     enumerate_words,
-    format_word,
     parse_word,
 )
 

@@ -208,18 +208,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+def _cap_value(text: str) -> int:
+    """Parse a length cap from --cap or WORDPOWER_CAP; argparse reports a
+    rejected value as a usage error."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"cap (--cap or WORDPOWER_CAP) must be a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordpower",
         description="Repetitions in binary words: generators, power-freeness "
         "checks, square classification and theorem verification.",
     )
-    env_cap = os.environ.get("WORDPOWER_CAP")
-    default_cap = int(env_cap) if env_cap else DEFAULT_CAP
+    default_cap = os.environ.get("WORDPOWER_CAP") or str(DEFAULT_CAP)
     parser.add_argument("--json", action="store_true", help="emit JSON lines")
     parser.add_argument(
         "--cap",
-        type=int,
+        type=_cap_value,
         default=default_cap,
         help=f"word length cap (default {default_cap}, env WORDPOWER_CAP)",
     )

@@ -28,7 +28,7 @@ from typing import Callable
 
 from .exponents import parse_exponent
 from .morphism import G, H, MU
-from .words import DEFAULT_CAP, check_cap, complement
+from .words import DEFAULT_CAP, check_cap, limit_prefix
 
 
 def word_t(n: int, cap: int = DEFAULT_CAP) -> str:
@@ -37,13 +37,18 @@ def word_t(n: int, cap: int = DEFAULT_CAP) -> str:
 
 
 def word_s(n: int, cap: int = DEFAULT_CAP) -> str:
-    """First n letters of 001001 followed by the complemented Thue-Morse word."""
-    if n < 0:
-        raise ValueError("prefix length must be nonnegative")
-    check_cap(n, cap)
-    if n <= 6:
-        return "001001"[:n]
-    return "001001" + complement(word_t(n - 6, cap=cap))
+    """First n letters of 001001 followed by the complemented Thue-Morse word.
+
+    The complemented word is the fixed point of mu starting with 1, so
+    each step applies mu to everything after the first six letters.
+    """
+    return limit_prefix("0010011", lambda word: word[:6] + MU.apply(word[6:]), n, cap)
+
+
+def _steer(bit: str, word: str) -> str:
+    """The bit-steered operator: 0 maps x to mu^2(x), 1 to 0 mu^2(x)."""
+    image = MU.apply(MU.apply(word))
+    return "0" + image if bit == "1" else image
 
 
 def word_a_finite(level: int, cap: int = DEFAULT_CAP) -> str:
@@ -53,23 +58,12 @@ def word_a_finite(level: int, cap: int = DEFAULT_CAP) -> str:
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    expected = (4 ** (level + 1) + 3 * 4**level - 1) // 3
-    check_cap(expected, cap)
-    word = "00"
-    for _ in range(level):
-        word = "0" + MU.apply(MU.apply(word))
-    return word
+    return g_b("1" * level, "00", cap=cap)
 
 
 def word_a(n: int, cap: int = DEFAULT_CAP) -> str:
     """First n letters of the limit of the A_k recursion."""
-    if n < 0:
-        raise ValueError("prefix length must be nonnegative")
-    check_cap(n, cap)
-    word = "00"
-    while len(word) < n:
-        word = "0" + MU.apply(MU.apply(word))
-    return word[:n]
+    return limit_prefix("00", lambda word: _steer("1", word), n, cap)
 
 
 def word_a_automatic(n: int, cap: int = DEFAULT_CAP) -> str:
@@ -85,16 +79,10 @@ def g_b(bits: str, word: str, cap: int = DEFAULT_CAP) -> str:
     the first bit acts outermost; 0 maps x to mu^2(x), 1 to 0 mu^2(x)."""
     if set(bits) - {"0", "1"}:
         raise ValueError("bits must be over 0/1")
-    length = len(word)
+    check_cap(_steered_length(bits, len(word)), cap)
     for bit in reversed(bits):
-        length = 4 * length + (1 if bit == "1" else 0)
-    check_cap(length, cap)
-    out = word
-    for bit in reversed(bits):
-        out = MU.apply(MU.apply(out))
-        if bit == "1":
-            out = "0" + out
-    return out
+        word = _steer(bit, word)
+    return word
 
 
 _BIT_SPEC_RE = re.compile(r"^([01]*)\(([01]+)\)$")
@@ -113,9 +101,6 @@ class BitSpec:
         repeats = -(-(count - len(self.prefix)) // len(self.block))
         return (self.prefix + self.block * repeats)[:count]
 
-    def __str__(self) -> str:
-        return f"{self.prefix}({self.block})"
-
 
 def parse_bit_spec(text: str) -> BitSpec:
     """Parse "prefix(block)", e.g. "(0)", "1(10)", "01(1)"."""
@@ -126,9 +111,10 @@ def parse_bit_spec(text: str) -> BitSpec:
 
 
 def _steered_length(bits: str, base_length: int) -> int:
+    """Length of ``g_b(bits, word)`` for a word of ``base_length`` letters."""
     length = base_length
     for bit in reversed(bits):
-        length = 4 * length + (1 if bit == "1" else 0)
+        length = 4 * length + int(bit)
     return length
 
 
@@ -141,6 +127,10 @@ def word_wb(spec: str | BitSpec, n: int, cap: int = DEFAULT_CAP) -> str:
     generator is prefix-consistent.  Seeding with 00 instead would not
     chain: mu^2(00) does not start with 00.  The pointwise limit of the
     00-seeded sequence is this same word.
+
+    The fewest stream bits whose word reaches n letters are applied,
+    innermost first, and every output is trimmed to n letters: both
+    operators preserve prefixes, so the trimmed words are exact.
     """
     if isinstance(spec, str):
         spec = parse_bit_spec(spec)
@@ -150,7 +140,10 @@ def word_wb(spec: str | BitSpec, n: int, cap: int = DEFAULT_CAP) -> str:
     k = 0
     while _steered_length(spec.bits(k), 1) < n:
         k += 1
-    return g_b(spec.bits(k), "0", cap=4 * max(n, 1) + 1)[:n]
+    word = "0"
+    for bit in reversed(spec.bits(k)):
+        word = _steer(bit, word)[:n]
+    return word[:n]
 
 
 class BetaSearchError(ValueError):
@@ -207,19 +200,17 @@ def beta_word(params: BetaParams, n: int, cap: int = DEFAULT_CAP) -> str:
     beta power of period 2**s.  Intermediate words are trimmed to the
     needed prefix, which the construction's prefix-consistency allows.
     """
-    if n < 0:
-        raise ValueError("prefix length must be nonnegative")
-    check_cap(n, cap)
     keep = max(n, 2) + params.t
-    word = "00"
-    while len(word) < n:
+
+    def round_(word: str) -> str:
         expanded = "0" * (params.r - 2) + word
         for _ in range(params.s):
             expanded = MU.apply(expanded)[:keep]
         if not expanded.startswith("00", params.t):
             raise RuntimeError("construction invariant broken; this is a bug")
-        word = expanded[params.t :]
-    return word[:n]
+        return expanded[params.t :]
+
+    return limit_prefix("00", round_, n, cap)
 
 
 class UnknownGeneratorError(ValueError):

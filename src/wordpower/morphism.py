@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .repetition import PowerOccurrence, is_power_free
-from .words import DEFAULT_CAP, CapExceeded
+from .words import DEFAULT_CAP, check_cap, limit_prefix
 
 
 class Morphism:
@@ -28,20 +28,6 @@ class Morphism:
                 raise ValueError(f"domain entries must be single letters, got {letter!r}")
         self._images = dict(images)
         self._table = {ord(letter): image for letter, image in self._images.items()}
-
-    @property
-    def images(self) -> dict[str, str]:
-        return dict(self._images)
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self._images)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Morphism) and self._images == other._images
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._images.items()))
 
     def __repr__(self) -> str:
         rules = ", ".join(f"{a}:{w}" for a, w in sorted(self._images.items()))
@@ -71,10 +57,7 @@ class Morphism:
             raise ValueError("iteration count must be nonnegative")
         word = seed
         for _ in range(n):
-            if self.image_length(word) > cap:
-                raise CapExceeded(
-                    f"iterate would produce {self.image_length(word)} letters, cap is {cap}"
-                )
+            check_cap(self.image_length(word), cap)
             word = self.apply(word)
         return word
 
@@ -90,23 +73,9 @@ class Morphism:
         Prefix-consistent: the result for n is a prefix of the result for
         any m >= n.
         """
-        if n < 0:
-            raise ValueError("prefix length must be nonnegative")
-        if n > cap:
-            raise CapExceeded(f"requested {n} letters, cap is {cap}")
         if not self.is_prolongable(letter):
             raise ValueError(f"morphism is not prolongable on {letter!r}")
-        word = letter
-        while len(word) < n:
-            grown = self.apply(word)
-            if len(grown) <= len(word):
-                raise ValueError("fixed point is finite; some image erases")
-            word = grown
-        return word[:n]
-
-    def compose(self, inner: "Morphism") -> "Morphism":
-        """Table of self-after-inner: apply ``inner`` first, then self."""
-        return Morphism({a: self.apply(image) for a, image in inner._images.items()})
+        return limit_prefix(letter, self.apply, n, cap)
 
 
 #: Thue-Morse morphism.
@@ -120,34 +89,6 @@ G = Morphism({"0": "0", "1": "0", "2": "0", "3": "1", "4": "1"})
 
 #: Reparsing table satisfying g(f(a)) = mu^2(g(a)) on every letter.
 F = Morphism({"0": "1342", "1": "1342", "2": "2342", "3": "3213", "4": "4213"})
-
-NAMED_MORPHISMS: dict[str, Morphism] = {"mu": MU, "h": H, "g": G, "f": F}
-
-
-def named_morphism(name: str) -> Morphism:
-    try:
-        return NAMED_MORPHISMS[name]
-    except KeyError:
-        known = ", ".join(sorted(NAMED_MORPHISMS))
-        raise ValueError(f"unknown morphism {name!r}; known: {known}") from None
-
-
-def parse_morphism(text: str) -> Morphism:
-    """Parse a table from "letter:image" lines (blank lines ignored)."""
-    images: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        letter, sep, image = line.partition(":")
-        if not sep or len(letter) != 1:
-            raise ValueError(f"line {lineno}: expected 'letter:image', got {raw!r}")
-        if letter in images:
-            raise ValueError(f"line {lineno}: duplicate rule for {letter!r}")
-        images[letter] = image
-    if not images:
-        raise ValueError("empty morphism table")
-    return Morphism(images)
 
 
 _MU_BLOCKS = {"01": "0", "10": "1"}
@@ -173,9 +114,11 @@ def descend_power(word: str, occurrence: PowerOccurrence) -> PowerOccurrence:
     """Pull a repetition in ``MU.apply(word)`` back into ``word``.
 
     Given an occurrence of even period p and exponent above 2 in the
-    image, returns an occurrence in ``word`` of period p/2 and length at
-    least ceil(occurrence.length / 2), found by search (leftmost maximal
-    run of the half period that is long enough).
+    image, returns the occurrence in ``word`` of period p/2 that it comes
+    from, of length at least ceil(occurrence.length / 2).  Since
+    mu(word)[j] is word[j // 2] xor (j % 2), image[j] == image[j + p]
+    holds exactly when word[j // 2] == word[j // 2 + p/2], so the image
+    run over [start, end) descends to [start // 2, (end - p - 1) // 2 + p/2].
     """
     if occurrence.period % 2:
         raise ValueError("occurrence period must be even")
@@ -185,19 +128,9 @@ def descend_power(word: str, occurrence: PowerOccurrence) -> PowerOccurrence:
     if not occurrence.is_valid_in(image):
         raise ValueError("occurrence is not a valid repetition in the image word")
     period = occurrence.period // 2
-    need = -(-occurrence.length // 2)
-    n = len(word)
-    for i in range(n - period):
-        if word[i] != word[i + period]:
-            continue
-        if i and word[i - 1] == word[i - 1 + period]:
-            continue  # inside a run; its start was already tried
-        m = 1
-        while i + period + m < n and word[i + m] == word[i + period + m]:
-            m += 1
-        if period + m >= need:
-            return PowerOccurrence(i, period, period + m)
-    raise RuntimeError("descent target not found; this is a bug")
+    start = occurrence.start // 2
+    last = (occurrence.end - occurrence.period - 1) // 2 + period
+    return PowerOccurrence(start, period, last - start + 1)
 
 
 #: Allowed edge words of a factorization around the Thue-Morse morphism.

@@ -37,7 +37,7 @@ from .constructions import (
 )
 from .morphism import F, G, H, MU, descend_power, factorize
 from .repetition import is_power_free, list_repetitions, max_exponent
-from .words import enumerate_words
+from .words import conjugates, enumerate_words
 
 SEVEN_THIRDS = Fraction(7, 3)
 
@@ -203,7 +203,7 @@ def _check_conjugate_closure() -> tuple[bool, str]:
         closure: set[str] = set()
         for m in members:
             if len(m) == 2 * half:
-                closure.update(m[i:] + m[:i] for i in range(len(m)))
+                closure |= conjugates(m)
         if enumerated != closure:
             return False, f"mismatch at length {2 * half}"
     return True, "even lengths 2..24 match"

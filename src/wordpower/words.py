@@ -13,7 +13,6 @@ from itertools import product
 from typing import Callable, Iterator
 
 BINARY_ALPHABET = "01"
-CODING_ALPHABET = "01234"
 
 #: Default hard ceiling for generated word lengths, in letters.
 DEFAULT_CAP = 1 << 20
@@ -41,17 +40,32 @@ def check_cap(length: int, cap: int) -> None:
         raise CapExceeded(f"requested {length} letters, cap is {cap}")
 
 
+def limit_prefix(seed: str, step: Callable[[str], str], n: int, cap: int) -> str:
+    """First ``n`` letters of the limit of seed, step(seed), step(step(seed)), ...
+
+    ``step`` must extend every word it is given, keeping it as a prefix,
+    so the words converge and the result for n is a prefix of the result
+    for any m >= n.  A step may trim its output to the letters the caller
+    needs, as long as it still grows words shorter than ``n``.
+    """
+    if n < 0:
+        raise ValueError("prefix length must be nonnegative")
+    check_cap(n, cap)
+    word = seed
+    while len(word) < n:
+        grown = step(word)
+        if len(grown) <= len(word):
+            raise ValueError("step does not grow the word; the limit is finite")
+        word = grown
+    return word[:n]
+
+
 def parse_word(text: str, alphabet: str = BINARY_ALPHABET) -> str:
     """Validate ``text`` as a word over ``alphabet`` and return it."""
     for i, ch in enumerate(text):
         if ch not in alphabet:
             raise WordFormatError(text, i, alphabet)
     return text
-
-
-def format_word(word: str) -> str:
-    """Serialize a word to its ASCII text form."""
-    return word
 
 
 _COMPLEMENT = str.maketrans("01", "10")

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,26 @@ def test_cap_env_override(capsys, monkeypatch):
     # explicit flag wins over the environment
     code, out, _ = run_cli(capsys, "--cap", "200", "gen", "t", "100")
     assert code == 0 and len(out.strip()) == 100
+
+
+@pytest.mark.parametrize("argv", [["--cap", "0"], ["--cap", "-5"], ["--cap", "abc"]])
+def test_bad_cap_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "gen", "t", "4"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_cap_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("WORDPOWER_CAP", value)
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "t", "4"])
+    assert info.value.code == 2
+    assert "WORDPOWER_CAP" in capsys.readouterr().err
+    # an explicit flag replaces the environment value
+    assert run_cli(capsys, "--cap", "9", "gen", "t", "4")[:2] == (0, "0110\n")
 
 
 def test_check_free_word(capsys):
@@ -186,10 +208,13 @@ def test_human_and_json_outputs_carry_same_information(capsys):
 
 
 def test_module_entry_point_runs():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "wordpower", "gen", "t", "8"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "01101001"

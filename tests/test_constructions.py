@@ -214,6 +214,20 @@ def test_generator_cap_is_enforced():
         generator("t", cap=100)(200)
 
 
+@pytest.mark.parametrize(
+    "name", ["t", "s", "a", "a-automatic", "wb:(10)", "wb:01(10)", "beta:11/5:3"]
+)
+def test_generator_contract_at_the_cap(name):
+    # a prefix of exactly the cap is served and agrees with a long prefix;
+    # one letter more is refused
+    long = generator(name)(1 << 14)
+    for n in [*range(8, 301), 4096, 5000]:
+        make = generator(name, cap=n)
+        assert make(n) == long[:n]
+        with pytest.raises(CapExceeded):
+            make(n + 1)
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2000))
 def test_cross_generator_agreement(n):

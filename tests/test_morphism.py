@@ -19,8 +19,6 @@ from wordpower import (
     is_power_free,
     list_repetitions,
     mu_decode,
-    named_morphism,
-    parse_morphism,
 )
 
 SEVEN_THIRDS = Fraction(7, 3)
@@ -77,27 +75,6 @@ def test_fixed_point_requires_prolongable_seed():
         MU.fixed_point_prefix("2", 4)
     with pytest.raises(CapExceeded):
         MU.fixed_point_prefix("0", 100, cap=50)
-
-
-def test_compose_matches_sequential_application():
-    mu2 = MU.compose(MU)
-    assert mu2.apply("0") == "0110"
-    assert mu2.apply("10") == MU.apply(MU.apply("10"))
-    coded = G.compose(H)  # apply H, then code with G
-    assert coded.apply("0") == "0011"
-
-
-def test_named_and_parsed_tables():
-    assert named_morphism("mu") is MU
-    assert named_morphism("h") is H
-    with pytest.raises(ValueError):
-        named_morphism("nope")
-    parsed = parse_morphism("0:01\n1:10\n")
-    assert parsed == MU
-    with pytest.raises(ValueError):
-        parse_morphism("0:01\n0:10")
-    with pytest.raises(ValueError):
-        parse_morphism("01:0")
 
 
 def test_mu_decode_examples():
@@ -217,7 +194,6 @@ def test_factorize_preconditions():
 
 
 def test_morphism_equality_and_repr():
-    assert Morphism({"0": "01", "1": "10"}) == MU
     assert "0:01" in repr(MU)
     with pytest.raises(ValueError):
         Morphism({"ab": "0"})
