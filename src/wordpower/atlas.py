@@ -8,10 +8,11 @@ Two finite base sets generate everything under the Thue-Morse morphism:
 * family "B" (bases 001001, 110110): the extra squares that occur in
   some infinite overlap-free word, but only as its prefix.
 
-Membership is decided by repeated 2-block decoding; a word belongs to
-the atlas exactly when decoding bottoms out in a base word.  Squares
-outside both families (for example 00110011) are overlap-free but kill
-every sufficiently long extension, which the bounded depth-first search
+A word belongs to the atlas exactly when it is a square xx whose half x
+is mu^k(y) for the half y of a base word, so membership is a lookup of x
+among the at most four such halves of its length.  Squares outside both
+families (for example 00110011) are overlap-free but kill every
+sufficiently long extension, which the bounded depth-first search
 :func:`max_overlap_free_extension` makes observable.
 """
 
@@ -22,15 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .morphism import MU, mu_decode
+from .morphism import MU
 from .repetition import _gather, _runs, is_power_free
-from .words import DEFAULT_CAP
+from .words import DEFAULT_CAP, complement
 
 FAMILY_A_BASES = ("00", "11", "010010", "101101")
 FAMILY_B_BASES = ("001001", "110110")
-
-_A_SET = frozenset(FAMILY_A_BASES)
-_B_SET = frozenset(FAMILY_B_BASES)
 
 
 @dataclass(frozen=True)
@@ -53,26 +51,38 @@ class AtlasMembership:
 NOT_IN_ATLAS = AtlasMembership(None, None, None)
 
 
-def atlas_membership(word: str) -> AtlasMembership:
-    """Decode down to a base word, or report non-membership.
+def _atlas_halves(half_length: int) -> dict[str, AtlasMembership]:
+    """The halves x of the atlas squares xx with |x| = half_length, each
+    with the membership of xx.
 
-    The (family, level, base) triple is unique when it exists, because
-    the Thue-Morse morphism is injective and no base word is itself
-    decodable.
+    xx = mu^k(yy) for a base yy exactly when x = mu^k(y) and
+    |y| * 2^k = |x|, so only bases with |y| in {1, 3} and the one level k
+    that fits the length contribute: at most four halves, each y with its
+    letters replaced by mu^k(0) and its complement mu^k(1).
     """
-    level = 0
-    current = word
-    while current:
-        if current in _A_SET:
-            return AtlasMembership("A", level, current)
-        if current in _B_SET:
-            return AtlasMembership("B", level, current)
-        decoded = mu_decode(current)
-        if decoded is None:
-            return NOT_IN_ATLAS
-        current = decoded
-        level += 1
-    return NOT_IN_ATLAS
+    if half_length < 1:
+        return {}
+    level = (half_length & -half_length).bit_length() - 1
+    image = MU.iterate("0", level, cap=half_length)
+    mu_level = str.maketrans({"0": image, "1": complement(image)})
+    return {
+        base[: len(base) // 2].translate(mu_level): AtlasMembership(family, level, base)
+        for family, bases in (("A", FAMILY_A_BASES), ("B", FAMILY_B_BASES))
+        for base in bases
+        if len(base) // 2 << level == half_length
+    }
+
+
+def atlas_membership(word: str) -> AtlasMembership:
+    """The (family, level, base) of ``word`` in the atlas, or non-membership.
+
+    The triple is unique when it exists: |x| fixes the level k, and mu^k
+    is injective, so distinct base halves have distinct images.
+    """
+    half, odd = divmod(len(word), 2)
+    if odd or word[:half] != word[half:]:
+        return NOT_IN_ATLAS
+    return _atlas_halves(half).get(word[:half], NOT_IN_ATLAS)
 
 
 def atlas_members(max_length: int, families: str = "AB") -> list[str]:
@@ -101,13 +111,19 @@ def squares_in(word: str) -> list[tuple[int, str]]:
     repetition (start, p, length) with length >= 2p holds the squares of
     half p at start .. start + length - 2p.
     """
+    positions, halves = _square_arrays(word)
+    return [(i, word[i : i + 2 * h]) for i, h in zip(positions.tolist(), halves.tolist())]
+
+
+def _square_arrays(word: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (positions, halves) integer arrays of :func:`squares_in`, in its
+    order, without building a string per square."""
     starts, halves, lengths = _gather(_runs(word, lambda: Fraction(2), False))
     counts = lengths - 2 * halves + 1
     shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
     positions, halves = np.arange(int(counts.sum())) - shift, np.repeat(halves, counts)
     order = np.lexsort((halves, positions))
-    pairs = zip(positions[order].tolist(), halves[order].tolist())
-    return [(i, word[i : i + 2 * h]) for i, h in pairs]
+    return positions[order], halves[order]
 
 
 def is_extendable_square(word: str) -> bool:

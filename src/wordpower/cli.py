@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import verify
-from .atlas import atlas_membership, squares_in
+from .atlas import NOT_IN_ATLAS, AtlasMembership, _atlas_halves, _square_arrays
 from .constructions import (
     BetaSearchError,
     UnknownGeneratorError,
@@ -27,9 +27,16 @@ from .constructions import (
 from .exponents import format_exponent, format_exponent_spec, parse_exponent, parse_exponent_spec
 from .morphism import factorize
 from .repetition import PowerOccurrence, find_power
-from .words import DEFAULT_CAP, CapExceeded, WordFormatError, parse_word
+from .words import DEFAULT_CAP, CapExceeded, WordFormatError, check_cap, parse_word
 
-_LITERAL_WORD_RE = re.compile(r"^[01]+$")
+_LITERAL_WORD_RE = re.compile(r"[01]+")
+
+# A word file may end in a line break ("\r\n" at most) beyond its letters.
+_LINE_BREAK_BYTES = 2
+
+# `squares` writes its lines in batches of this many: few enough that a
+# batch of long squares stays small next to the square arrays.
+_SQUARES_BATCH = 1024
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
@@ -53,22 +60,35 @@ def _occurrence_report(occ: PowerOccurrence) -> dict:
     }
 
 
-def _read_word_argument(arg: str) -> str:
+def _read_word_argument(arg: str, cap: int) -> str:
     """A pure 0/1 token is a literal word; '@path' forces a file read;
-    otherwise an existing file is read (one ASCII word per file)."""
+    otherwise an existing file is read (one ASCII word per file).
+
+    A word longer than ``cap`` raises :class:`CapExceeded`; a file is
+    refused by its size, before its word is read, when it holds more than
+    ``cap`` letters besides a final line break.
+    """
     if arg.startswith("@"):
         path = arg[1:]
-    elif _LITERAL_WORD_RE.match(arg):
+    elif _LITERAL_WORD_RE.fullmatch(arg):
+        check_cap(len(arg), cap)
         return arg
     elif os.path.isfile(arg):
         path = arg
     else:
         raise _UsageError(f"not a binary word and not a file: {arg!r}")
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            return parse_word(handle.read().strip())
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size - _LINE_BREAK_BYTES > cap:
+                # Count the letters as the size less the line break it ends in.
+                handle.seek(size - _LINE_BREAK_BYTES)
+                check_cap(size - _LINE_BREAK_BYTES + len(handle.read().rstrip()), cap)
+            word = parse_word(handle.read().decode("ascii").strip())
     except OSError as exc:
         raise _UsageError(f"cannot read word file {path!r}: {exc}") from None
+    check_cap(len(word), cap)
+    return word
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -82,7 +102,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    word = _read_word_argument(args.word)
+    word = _read_word_argument(args.word, args.cap)
     try:
         threshold, plus = parse_exponent_spec(args.exponent)
         if threshold < 1:
@@ -112,6 +132,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if free else 1
 
 
+def _membership_tail(membership: AtlasMembership, json_mode: bool) -> str:
+    """The family/level/base end of a `squares` line."""
+    if json_mode:
+        report = {"family": membership.family, "level": membership.level, "base": membership.base}
+        return json.dumps(report, separators=(",", ":"))[1:]
+    if not membership.in_atlas:
+        return "family=-"
+    return f"family={membership.family} level={membership.level} base={membership.base}"
+
+
 def _cmd_squares(args: argparse.Namespace) -> int:
     try:
         make = generator(args.input, cap=args.cap)
@@ -121,28 +151,38 @@ def _cmd_squares(args: argparse.Namespace) -> int:
         if args.length is None:
             raise _UsageError("a generator input needs a prefix length")
         word = make(args.length)
+    elif args.length is not None:
+        raise _UsageError("a prefix length applies only to a generator input")
     else:
-        word = _read_word_argument(args.input)
-    for position, square in squares_in(word):
-        membership = atlas_membership(square)
-        _emit(
-            {
-                "kind": "membership",
-                "position": position,
-                "square": square,
-                "family": membership.family,
-                "level": membership.level,
-                "base": membership.base,
-            },
-            f"pos={position} square={square} family={membership.family or '-'}"
-            + (f" level={membership.level} base={membership.base}" if membership.in_atlas else ""),
-            args.json,
-        )
+        word = _read_word_argument(args.input, args.cap)
+    # The word is 0/1 only (parsed or generated), so a square needs no JSON
+    # escaping and each line is a template; the membership tails are
+    # formatted once per half length.
+    if args.json:
+        line = '{"kind":"membership","position":%d,"square":"%s",%s\n'
+    else:
+        line = "pos=%d square=%s %s\n"
+    outside = _membership_tail(NOT_IN_ATLAS, args.json)
+    tails_by_length: dict[int, dict[str, str]] = {}
+    positions, halves = _square_arrays(word)
+    for first in range(0, len(positions), _SQUARES_BATCH):
+        lines = []
+        batch = slice(first, first + _SQUARES_BATCH)
+        for i, h in zip(positions[batch].tolist(), halves[batch].tolist()):
+            tails = tails_by_length.get(h)
+            if tails is None:
+                tails = tails_by_length[h] = {
+                    half: _membership_tail(membership, args.json)
+                    for half, membership in _atlas_halves(h).items()
+                }
+            tail = tails.get(word[i : i + h], outside) if tails else outside
+            lines.append(line % (i, word[i : i + 2 * h], tail))
+        sys.stdout.write("".join(lines))
     return 0
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
-    word = _read_word_argument(args.word)
+    word = _read_word_argument(args.word, args.cap)
     try:
         threshold = parse_exponent(args.threshold)
     except ValueError as exc:

@@ -10,7 +10,6 @@ by the 4-automatic presentation in :mod:`wordpower.constructions`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -28,14 +27,17 @@ class Morphism:
                 raise ValueError(f"domain entries must be single letters, got {letter!r}")
         self._images = dict(images)
         self._table = {ord(letter): image for letter, image in self._images.items()}
+        self._delete_domain = dict.fromkeys(self._table)
 
     def __repr__(self) -> str:
         rules = ", ".join(f"{a}:{w}" for a, w in sorted(self._images.items()))
         return f"Morphism({rules})"
 
     def _check_domain(self, word: str) -> None:
-        foreign = set(word) - self._images.keys()
-        if foreign:
+        # One pass deletes the domain letters; the set of foreign letters
+        # is built only when some are left.
+        if word.translate(self._delete_domain):
+            foreign = set(word) - self._images.keys()
             raise ValueError(f"letter {min(foreign)!r} outside morphism domain")
 
     def apply(self, word: str) -> str:
@@ -48,8 +50,7 @@ class Morphism:
     def image_length(self, word: str) -> int:
         """Length of ``apply(word)`` without materializing it."""
         self._check_domain(word)
-        counts = Counter(word)
-        return sum(n * len(self._images[letter]) for letter, n in counts.items())
+        return sum(word.count(letter) * len(image) for letter, image in self._images.items())
 
     def iterate(self, seed: str, n: int, cap: int = DEFAULT_CAP) -> str:
         """Apply the morphism ``n`` times to ``seed`` (n=0 returns the seed)."""

@@ -62,9 +62,11 @@ def limit_prefix(seed: str, step: Callable[[str], str], n: int, cap: int) -> str
 
 def parse_word(text: str, alphabet: str = BINARY_ALPHABET) -> str:
     """Validate ``text`` as a word over ``alphabet`` and return it."""
-    for i, ch in enumerate(text):
-        if ch not in alphabet:
-            raise WordFormatError(text, i, alphabet)
+    # One pass deletes the letters of the alphabet; what is left starts
+    # with the first invalid character.
+    foreign = text.translate(dict.fromkeys(map(ord, alphabet)))
+    if foreign:
+        raise WordFormatError(text, text.index(foreign[0]), alphabet)
     return text
 
 

@@ -90,3 +90,30 @@ def all_binary_words(max_length):
     for n in range(max_length + 1):
         for code in range(1 << n):
             yield format(code, f"0{n}b") if n else ""
+
+
+ATLAS_BASES = {"00": "A", "11": "A", "010010": "A", "101101": "A", "001001": "B", "110110": "B"}
+
+_FLIP = str.maketrans("01", "10")
+
+
+def mu_decode(word):
+    """The word whose Thue-Morse image is ``word``, or None: the length is
+    even and every 2-block is 01 or 10 (compared as two slices)."""
+    if len(word) % 2 or word[0::2] != word[1::2].translate(_FLIP):
+        return None
+    return word[0::2]
+
+
+def atlas_membership(word):
+    """(family, level, base) by decoding one Thue-Morse level at a time
+    until a base word appears, or None."""
+    level = 0
+    while word:
+        if word in ATLAS_BASES:
+            return ATLAS_BASES[word], level, word
+        word = mu_decode(word)
+        if word is None:
+            return None
+        level += 1
+    return None

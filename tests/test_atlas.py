@@ -11,6 +11,7 @@ from wordpower import (
     check_extension_lemma,
     is_extendable_square,
     max_overlap_free_extension,
+    mu_decode,
     squares_in,
     word_t,
 )
@@ -47,6 +48,34 @@ def test_membership_agrees_with_forward_enumeration():
     for word in oracles.all_binary_words(8):
         square = word + word
         assert atlas_membership(square).in_atlas == (square in members)
+
+
+def reference_membership(word):
+    family, level, base = oracles.atlas_membership(word) or (None, None, None)
+    return AtlasMembership(family, level, base)
+
+
+def test_membership_matches_decoding_reference_on_short_words():
+    for word in oracles.all_binary_words(14):
+        # the reference decodes exactly as the package's mu_decode does
+        assert oracles.mu_decode(word) == mu_decode(word), word
+        assert atlas_membership(word) == reference_membership(word), word
+
+
+@pytest.mark.parametrize("base", sorted(oracles.ATLAS_BASES))
+def test_membership_matches_decoding_reference_on_mutated_images(base):
+    for level in range(11):
+        image = MU.iterate(base, level)
+        assert atlas_membership(image) == AtlasMembership(oracles.ATLAS_BASES[base], level, base)
+        half = len(image) // 2
+        for i in range(len(image)):
+            flipped = "10"[int(image[i])]
+            mutant = image[:i] + flipped + image[i + 1 :]
+            assert atlas_membership(mutant) == reference_membership(mutant), (base, level, i)
+            if i < half:
+                # the same letter flipped in both halves keeps a square
+                twin = mutant[: i + half] + flipped + mutant[i + half + 1 :]
+                assert atlas_membership(twin) == reference_membership(twin), (base, level, i)
 
 
 def test_squares_in_examples():

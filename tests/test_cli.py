@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from wordpower import cli, generator, squares_in, word_t
 from wordpower.cli import main
 
 
@@ -151,6 +153,105 @@ def test_squares_generator_requires_length(capsys):
     code, _, err = run_cli(capsys, "squares", "t")
     assert code == 2
     assert "length" in err
+
+
+def test_squares_length_after_a_word_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "word.txt"
+    path.write_text("0110\n")
+    for source in ("0110", f"@{path}", str(path)):
+        code, out, err = run_cli(capsys, "squares", source, "5")
+        assert (code, out) == (2, ""), source
+        assert err.startswith("error:") and "length" in err
+
+
+def per_line_squares_stdout(word, json_mode):
+    """What `squares` printed with one json.dumps or f-string and one
+    print per square, classified by decoding one level at a time."""
+    lines = []
+    for position, square in squares_in(word):
+        family, level, base = oracles.atlas_membership(square) or (None, None, None)
+        report = {
+            "kind": "membership",
+            "position": position,
+            "square": square,
+            "family": family,
+            "level": level,
+            "base": base,
+        }
+        human = f"pos={position} square={square} family={family or '-'}" + (
+            f" level={level} base={base}" if family else ""
+        )
+        lines.append(json.dumps(report, separators=(",", ":")) if json_mode else human)
+    return "".join(line + "\n" for line in lines)
+
+
+SQUARES_INPUTS = [
+    ["t", "4096"],
+    ["s", "4096"],
+    ["01" * 20],
+    ["001" * 15],
+    ["0010" * 12],
+    ["01101" * 12],
+    ["00110011"],
+    ["001001" + word_t(58)],
+]
+
+
+@pytest.mark.parametrize("batch", [cli._SQUARES_BATCH, 7])
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("source", SQUARES_INPUTS, ids=lambda a: ":".join(a)[:24])
+def test_squares_output_matches_per_line_printing(capsys, monkeypatch, source, json_mode, batch):
+    monkeypatch.setattr(cli, "_SQUARES_BATCH", batch)
+    word = generator(source[0])(int(source[1])) if len(source) == 2 else source[0]
+    flag = ["--json"] if json_mode else []
+    code, out, err = run_cli(capsys, *flag, "squares", *source)
+    assert (code, err) == (0, "")
+    assert out == per_line_squares_stdout(word, json_mode)
+
+
+def test_squares_output_covers_every_kind_of_line(capsys):
+    _, out, _ = run_cli(capsys, "--json", "squares", "001001" + word_t(58))
+    assert {row["family"] for row in json_lines(out)} == {"A", "B"}
+    _, out, _ = run_cli(capsys, "squares", "00110011")
+    assert "pos=0 square=00110011 family=-\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "01101001100101101", "2+"],
+        ["squares", "01101001100101101"],
+        ["factorize", "01101001100101101"],
+    ],
+)
+def test_cap_applies_to_input_words(capsys, monkeypatch, argv):
+    assert run_cli(capsys, "--cap", "4", *argv) == (3, "", "error: requested 17 letters, cap is 4\n")
+    monkeypatch.setenv("WORDPOWER_CAP", "16")
+    assert run_cli(capsys, *argv) == (3, "", "error: requested 17 letters, cap is 16\n")
+    assert run_cli(capsys, "--cap", "17", *argv)[0] in (0, 1)
+
+
+def test_cap_applies_to_word_files(capsys, tmp_path):
+    word = "01101001100101101"
+    path = tmp_path / "word.txt"
+    path.write_text(word + "\r\n")
+    # a line break after the letters does not count against the cap
+    assert run_cli(capsys, "--cap", "17", "check", f"@{path}", "2+")[0] == 0
+    code, out, err = run_cli(capsys, "--cap", "16", "squares", str(path))
+    assert (code, out, err) == (3, "", "error: requested 17 letters, cap is 16\n")
+    # without the line break, the size alone does not decide
+    path.write_text(word)
+    code, out, err = run_cli(capsys, "--cap", "16", "squares", str(path))
+    assert (code, out, err) == (3, "", "error: requested 17 letters, cap is 16\n")
+    # a file too large for the cap is refused by its size, unread: the bad
+    # letter in it would otherwise be a usage error
+    path.write_text(word + "2" + "0" * 100 + "\n")
+    code, out, err = run_cli(capsys, "--cap", "16", "factorize", f"@{path}")
+    assert (code, out, err) == (3, "", "error: requested 118 letters, cap is 16\n")
+    path.write_bytes(b"\xff" * 19)
+    code, out, err = run_cli(capsys, "--cap", "16", "check", f"@{path}", "2")
+    assert (code, out, err) == (3, "", "error: requested 19 letters, cap is 16\n")
+    assert run_cli(capsys, "--cap", "19", "check", f"@{path}", "2")[0] == 2
 
 
 def test_factorize_canonical_first(capsys):

@@ -37,6 +37,17 @@ def test_apply_rejects_foreign_letters():
         MU.apply("012")
     with pytest.raises(ValueError):
         MU.iterate("2", 1)
+    # the message names the smallest foreign letter, wherever it occurs
+    with pytest.raises(ValueError, match="letter 'a' outside morphism domain"):
+        MU.apply("01b0a1")
+    with pytest.raises(ValueError, match="letter '5' outside morphism domain"):
+        H.image_length("01234x5")
+
+
+@given(st.text(alphabet="01234", max_size=40))
+def test_image_length_matches_image(word):
+    assert H.image_length(word) == len(H.apply(word))
+    assert G.image_length(word) == len(G.apply(word))
 
 
 def test_iterate_examples():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordpower import (
@@ -104,3 +104,26 @@ def test_parse_word_coding_alphabet():
 @given(binary_words)
 def test_parse_format_roundtrip(word):
     assert parse_word(word) == word
+
+
+def first_invalid_index(text, alphabet):
+    """The per-character definition: the first index whose letter is outside."""
+    return next((i for i, ch in enumerate(text) if ch not in alphabet), None)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["01", "01234", "0", "-]^\\", ""]),
+    st.text(alphabet="01234", max_size=40),
+    st.lists(st.tuples(st.integers(0, 40), st.characters()), max_size=4),
+)
+def test_parse_word_reports_first_invalid_index(alphabet, text, injections):
+    for position, character in injections:
+        text = text[:position] + character + text[position:]
+    expected = first_invalid_index(text, alphabet)
+    if expected is None:
+        assert parse_word(text, alphabet=alphabet) == text
+        return
+    with pytest.raises(WordFormatError) as info:
+        parse_word(text, alphabet=alphabet)
+    assert (info.value.position, info.value.character) == (expected, text[expected])
