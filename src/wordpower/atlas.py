@@ -141,14 +141,12 @@ def is_extendable_square(word: str) -> bool:
 
 
 def _appending_creates_overlap(word: str) -> bool:
-    # Any new overlap in (old word + letter) must end at the last letter;
-    # walk each period backwards, at most period+1 steps.
+    # Any new overlap in (old word + letter) must end at the last letter:
+    # some suffix of 2p + 1 letters has period p, i.e. its first p + 1
+    # letters equal its last p + 1.
     n = len(word)
-    for p in range(1, n // 2 + 1):
-        m = 0
-        while m <= p and n - 1 - p - m >= 0 and word[n - 1 - m] == word[n - 1 - p - m]:
-            m += 1
-        if m > p:
+    for p in range(1, (n + 1) // 2):
+        if word[n - 2 * p - 1 : n - p] == word[n - p - 1 :]:
             return True
     return False
 

@@ -225,6 +225,8 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if "all" in args.suite and args.suite != ["all"]:
+        raise _UsageError("'all' runs every suite and must be given alone")
     names = verify.suite_names() if args.suite == ["all"] else args.suite
     unknown = [name for name in names if name not in verify.suite_names()]
     if unknown:

@@ -86,7 +86,7 @@ def _letters(word: str) -> np.ndarray:
 
 
 def _as_threshold(value: Fraction | int) -> Fraction:
-    threshold = Fraction(value)
+    threshold = value if isinstance(value, Fraction) else Fraction(value)
     if threshold < 1:
         raise ValueError(f"threshold must be at least 1, got {threshold}")
     return threshold
@@ -100,9 +100,13 @@ def _spacings(thr: Fraction, strict: bool, first: int, n: int) -> np.ndarray:
     excess, den = thr.numerator - thr.denominator, thr.denominator
     periods = np.arange(first, min(first + _CHUNK, n), dtype=np.int64)
     wide = excess * n >= 1 << 62 or den >= 1 << 62
-    scaled = periods.astype(object if wide else np.int64) * excess
-    need = np.clip(scaled // den + 1 if strict else -(-scaled // den), 1, n + 1).astype(np.int64)
-    return need[: np.searchsorted(periods + need, n, side="right")]
+    scaled = (periods.astype(object) if wide else periods) * excess
+    # Array methods and bare ufuncs: this runs for every query, and on short
+    # words the Python wrappers of np.clip and np.searchsorted cost more
+    # than the arithmetic.
+    need = np.minimum(np.maximum(scaled // den + 1 if strict else -(-scaled // den), 1), n + 1)
+    need = need.astype(np.int64, copy=False)
+    return need[: (periods + need).searchsorted(n, side="right")]
 
 
 class _Windows:
@@ -172,26 +176,28 @@ def _runs(
     first, extends backward by fewer than d letters; that checkpoint's
     backward and forward LCEs give the run's start and length.
     """
-    n, p, windows, arr = len(word), 1, None, _letters(word)
+    n, p, windows = len(word), 1, None
     # The word padded with a byte no ASCII letter equals; row k of a view
     # at offset p with strides (1, 1) is the word shifted left by p + k.
     # (Built directly: sliding_window_view keeps memory on every call.)
-    padded_word = np.append(arr, np.full(n, 255, np.uint8))
+    padded_word = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8)
+    arr = padded_word[:n]
     index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
     while p < n:
         spacing = _spacings(threshold(), strict, p, n)
         if not spacing.size:
             return
         if spacing[0] < _CROSSOVER:
-            rows = min(int(np.searchsorted(spacing, _CROSSOVER)), max(1, 4 * _CHUNK // n))
+            rows = min(int(spacing.searchsorted(_CROSSOVER)), max(1, 4 * _CHUNK // n))
             padded = np.zeros((rows, n + 2), np.int8)
             shifted = np.ndarray((rows, n), np.uint8, padded_word, offset=p, strides=(1, 1))
             padded[:, 1:-1] = shifted == arr
-            delta = np.diff(padded, axis=1).ravel()
-            row, starts = np.divmod(np.flatnonzero(delta == 1), n + 1)
-            lengths = np.flatnonzero(delta == -1) - row * (n + 1) - starts
+            delta = (padded[:, 1:] - padded[:, :-1]).ravel()
+            row, starts = np.divmod((delta == 1).nonzero()[0], n + 1)
+            lengths = (delta == -1).nonzero()[0] - row * (n + 1) - starts
             keep = lengths >= spacing[row]
-            yield starts[keep], p + row[keep], p + row[keep] + lengths[keep]
+            periods = p + row[keep]
+            yield starts[keep], periods, periods + lengths[keep]
         else:
             forward, backward = windows = windows or _windows(word)
             counts = (n - 1 - p - np.arange(len(spacing))) // spacing + 1

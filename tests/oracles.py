@@ -86,6 +86,19 @@ def squares(word):
     return out
 
 
+def appending_creates_overlap(word):
+    """Whether an overlap ends at the last letter of ``word``: walk each
+    period backwards letter by letter, at most period + 1 steps."""
+    n = len(word)
+    for p in range(1, n // 2 + 1):
+        m = 0
+        while m <= p and n - 1 - p - m >= 0 and word[n - 1 - m] == word[n - 1 - p - m]:
+            m += 1
+        if m > p:
+            return True
+    return False
+
+
 def all_binary_words(max_length):
     for n in range(max_length + 1):
         for code in range(1 << n):

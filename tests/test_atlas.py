@@ -122,6 +122,22 @@ def test_max_overlap_free_extension_preconditions():
         max_overlap_free_extension("0110", 2)  # cap below the word
 
 
+def test_appending_creates_overlap_matches_letter_loop(monkeypatch):
+    from wordpower import atlas, verify
+
+    check, candidates = atlas._appending_creates_overlap, []
+
+    def recording(word):
+        candidates.append(word)
+        return check(word)
+
+    monkeypatch.setattr(atlas, "_appending_creates_overlap", recording)
+    assert verify.run_suite("main").passed
+    assert len(candidates) == 12928
+    for word in [*oracles.all_binary_words(14), *candidates]:
+        assert check(word) == oracles.appending_creates_overlap(word), word
+
+
 def test_extension_results_are_cap_independent_when_finite():
     assert max_overlap_free_extension("011011", 64) == max_overlap_free_extension(
         "011011", 200

@@ -319,3 +319,10 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "01101001"
+
+
+def test_verify_all_must_be_given_alone(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "extend")
+    assert (code, out) == (2, "")
+    assert "'all' runs every suite and must be given alone" in err
+    assert "unknown suite" not in err

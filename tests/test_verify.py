@@ -1,6 +1,6 @@
 import pytest
 
-from wordpower import verify
+from wordpower import MU, Morphism, verify
 
 
 def test_suite_registry_is_complete_and_ordered():
@@ -22,7 +22,8 @@ def test_suite_registry_is_complete_and_ordered():
     ]
 
 
-@pytest.mark.parametrize("name", ["extend", "fact", "conj", "square", "beta", "automatic"])
+# Every suite is cheap enough for tier-1: a round of all 14 takes about 2 s.
+@pytest.mark.parametrize("name", verify.suite_names())
 def test_cheap_suites_pass(name):
     result = verify.run_suite(name)
     assert result.passed, result.detail
@@ -34,3 +35,24 @@ def test_cheap_suites_pass(name):
 def test_unknown_suite_raises():
     with pytest.raises(ValueError, match="unknown suite"):
         verify.run_suite("nosuch")
+
+
+@pytest.mark.parametrize(
+    "images, reason",
+    [
+        ({"0": "01", "1": "01"}, "not injective"),
+        ({"0": "0", "1": "01"}, "not 2-uniform"),
+    ],
+)
+def test_tmmorph_fails_without_its_premises(monkeypatch, images, reason):
+    monkeypatch.setattr(verify, "MU", Morphism(images))
+    result = verify.run_suite("tmmorph")
+    assert not result.passed
+    assert reason in result.detail
+
+
+def test_tmmorph_passes_on_mu():
+    assert verify.MU is MU
+    result = verify.run_suite("tmmorph")
+    assert result.passed
+    assert result.detail == "2794155 ordered pairs checked"
