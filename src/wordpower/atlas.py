@@ -18,6 +18,7 @@ sufficiently long extension, which the bounded depth-first search
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,17 +112,51 @@ def squares_in(word: str) -> list[tuple[int, str]]:
     repetition (start, p, length) with length >= 2p holds the squares of
     half p at start .. start + length - 2p.
     """
-    positions, halves = _square_arrays(word)
-    return [(i, word[i : i + 2 * h]) for i, h in zip(positions.tolist(), halves.tolist())]
+    return [
+        (i, word[i : i + 2 * h])
+        for positions, halves in _square_blocks(word)
+        for i, h in zip(positions.tolist(), halves.tolist())
+    ]
 
 
-def _square_arrays(word: str) -> tuple[np.ndarray, np.ndarray]:
+# Squares expanded and sorted at once, at about 40 bytes each: a few MiB
+# however many squares the word holds.  Every input of the `squares`
+# benchmark (at most about 11,000 squares) is one block.
+_SQUARES_BLOCK = 1 << 16
+
+
+def _square_blocks(word: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The (positions, halves) integer arrays of :func:`squares_in`, in its
-    order, without building a string per square."""
+    order, without building a string per square: one block of consecutive
+    positions at a time, each holding about _SQUARES_BLOCK squares (more
+    only when one position starts more), so memory follows the runs, not
+    the squares."""
+    n = len(word)
     starts, halves, lengths = _gather(_runs(word, lambda: Fraction(2), False))
-    counts = lengths - 2 * halves + 1
-    shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
-    positions, halves = np.arange(int(counts.sum())) - shift, np.repeat(halves, counts)
+    ends = starts + lengths - 2 * halves + 1  # past the position of the run's last square
+    # Squares at positions <= i, from the runs active at each position.
+    upto = np.bincount(starts, minlength=n + 1) - np.bincount(ends, minlength=n + 1)
+    np.cumsum(upto, out=upto)
+    np.cumsum(upto, out=upto)
+    bounds = upto.searchsorted(np.arange(_SQUARES_BLOCK, upto[-1], _SQUARES_BLOCK)) + 1
+    # Ascending; np.unique would load numpy.ma, about 1 MiB.
+    bounds = [0, *dict.fromkeys(bounds.tolist()), n]
+    del upto
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield _squares_between(starts, halves, ends, lo, hi)
+
+
+def _squares_between(starts, halves, ends, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squares at positions lo .. hi - 1 of the runs (starts, halves,
+    ends), as (positions, halves) arrays sorted by position, then half.
+    (A function of its own, so that its temporaries are freed before the
+    caller writes the block out.)"""
+    live = (starts < hi) & (ends > lo)
+    first = np.maximum(starts[live], lo)
+    counts = np.minimum(ends[live], hi) - first
+    shift = np.repeat(np.cumsum(counts) - counts - first, counts)
+    positions = np.arange(int(counts.sum())) - shift
+    halves = np.repeat(halves[live], counts)
     order = np.lexsort((halves, positions))
     return positions[order], halves[order]
 

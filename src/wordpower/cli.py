@@ -15,9 +15,8 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import verify
-from .atlas import NOT_IN_ATLAS, AtlasMembership, _atlas_halves, _square_arrays
 from .constructions import (
     BetaSearchError,
     UnknownGeneratorError,
@@ -26,8 +25,21 @@ from .constructions import (
 )
 from .exponents import format_exponent, format_exponent_spec, parse_exponent, parse_exponent_spec
 from .morphism import factorize
-from .repetition import PowerOccurrence, find_power
 from .words import DEFAULT_CAP, CapExceeded, WordFormatError, check_cap, parse_word
+
+# The modules that scan (repetition, atlas, verify) load numpy, so each
+# command imports them only once its arguments are checked: `gen`, `beta`,
+# help and usage errors start without them.
+if TYPE_CHECKING:
+    from .atlas import AtlasMembership
+    from .repetition import PowerOccurrence
+
+# `verify.suite_names()` in registry order, so that `verify --help` need
+# not load the suites.
+_SUITE_NAMES = (
+    "tmmorph", "shur", "stronger", "fact", "pansiot", "square", "conj", "extend", "main",
+    "finite-overlaps", "infinite", "uncount", "automatic", "beta",
+)
 
 _LITERAL_WORD_RE = re.compile(r"[01]+")
 
@@ -109,6 +121,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise ValueError("threshold must be at least 1")
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    from .repetition import find_power
+
     witness = find_power(word, threshold, strict=plus)
     spec_text = format_exponent_spec(threshold, plus)
     free = witness is None
@@ -155,6 +169,8 @@ def _cmd_squares(args: argparse.Namespace) -> int:
         raise _UsageError("a prefix length applies only to a generator input")
     else:
         word = _read_word_argument(args.input, args.cap)
+    from .atlas import NOT_IN_ATLAS, _atlas_halves, _square_blocks
+
     # The word is 0/1 only (parsed or generated), so a square needs no JSON
     # escaping and each line is a template; the membership tails are
     # formatted once per half length.
@@ -164,20 +180,20 @@ def _cmd_squares(args: argparse.Namespace) -> int:
         line = "pos=%d square=%s %s\n"
     outside = _membership_tail(NOT_IN_ATLAS, args.json)
     tails_by_length: dict[int, dict[str, str]] = {}
-    positions, halves = _square_arrays(word)
-    for first in range(0, len(positions), _SQUARES_BATCH):
-        lines = []
-        batch = slice(first, first + _SQUARES_BATCH)
-        for i, h in zip(positions[batch].tolist(), halves[batch].tolist()):
-            tails = tails_by_length.get(h)
-            if tails is None:
-                tails = tails_by_length[h] = {
-                    half: _membership_tail(membership, args.json)
-                    for half, membership in _atlas_halves(h).items()
-                }
-            tail = tails.get(word[i : i + h], outside) if tails else outside
-            lines.append(line % (i, word[i : i + 2 * h], tail))
-        sys.stdout.write("".join(lines))
+    for positions, halves in _square_blocks(word):
+        for first in range(0, len(positions), _SQUARES_BATCH):
+            lines = []
+            batch = slice(first, first + _SQUARES_BATCH)
+            for i, h in zip(positions[batch].tolist(), halves[batch].tolist()):
+                tails = tails_by_length.get(h)
+                if tails is None:
+                    tails = tails_by_length[h] = {
+                        half: _membership_tail(membership, args.json)
+                        for half, membership in _atlas_halves(h).items()
+                    }
+                tail = tails.get(word[i : i + h], outside) if tails else outside
+                lines.append(line % (i, word[i : i + 2 * h], tail))
+            sys.stdout.write("".join(lines))
     return 0
 
 
@@ -227,10 +243,14 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if "all" in args.suite and args.suite != ["all"]:
         raise _UsageError("'all' runs every suite and must be given alone")
-    names = verify.suite_names() if args.suite == ["all"] else args.suite
-    unknown = [name for name in names if name not in verify.suite_names()]
+    names = _SUITE_NAMES if args.suite == ["all"] else args.suite
+    unknown = [name for name in names if name not in _SUITE_NAMES]
     if unknown:
-        raise _UsageError(f"unknown suite: {', '.join(unknown)}")
+        # repr() for a name that could break the one-line error (a line feed, say).
+        shown = [name if name.isprintable() else repr(name) for name in unknown]
+        raise _UsageError(f"unknown suite: {', '.join(shown)}")
+    from . import verify
+
     all_passed = True
     for name in names:
         result = verify.run_suite(name)
@@ -306,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "suite",
         nargs="+",
-        help="suite names or 'all': " + ", ".join(verify.suite_names()),
+        help="suite names or 'all': " + ", ".join(_SUITE_NAMES),
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .repetition import PowerOccurrence, is_power_free
 from .words import DEFAULT_CAP, check_cap, limit_prefix
+
+if TYPE_CHECKING:
+    from .repetition import PowerOccurrence
 
 
 class Morphism:
@@ -121,6 +123,10 @@ def descend_power(word: str, occurrence: PowerOccurrence) -> PowerOccurrence:
     holds exactly when word[j // 2] == word[j // 2 + p/2], so the image
     run over [start, end) descends to [start // 2, (end - p - 1) // 2 + p/2].
     """
+    # The repetition kernel (and numpy) loads with its first user, so the
+    # generators, which only need the morphisms, start without it.
+    from .repetition import PowerOccurrence
+
     if occurrence.period % 2:
         raise ValueError("occurrence period must be even")
     if occurrence.exponent <= 2:
@@ -161,6 +167,8 @@ def factorize(
     core; this returns every such split, sorted by (len(head), len(tail)).
     The first element is the canonical one.
     """
+    from .repetition import is_power_free
+
     thr = Fraction(threshold)
     if not 2 < thr <= Fraction(7, 3):
         raise ValueError(f"threshold must lie in (2, 7/3], got {thr}")

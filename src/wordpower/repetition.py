@@ -26,6 +26,7 @@ de Bruijn table, never floats.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -228,17 +229,23 @@ def _leftmost(starts, periods, lengths) -> tuple[int, int, int]:
 
 
 def smallest_period(word: str) -> int:
-    """The least p >= 1 with word[i] == word[i+p] for all in-range i."""
+    """The least p >= 1 with word[i] == word[i+p] for all in-range i.
+
+    That is n minus the longest proper border of the word, which the
+    Knuth-Morris-Pratt failure function gives in O(n) letter comparisons.
+    """
     if not word:
         raise ValueError("empty word has no period")
-    n, (forward, _) = len(word), _windows(word)
-    for lo in range(1, n, _CHUNK):
-        periods = np.arange(lo, min(lo + _CHUNK, n))
-        lce = forward.lce(np.zeros_like(periods), periods, n - periods)
-        full = np.flatnonzero(lce == n - periods)
-        if full.size:
-            return int(periods[full[0]])
-    return n
+    # border[i]: the longest proper border of word[: i + 1].
+    border, k = array("l", [0]) * len(word), 0
+    for i in range(1, len(word)):
+        letter = word[i]
+        while k and word[k] != letter:
+            k = border[k - 1]
+        if word[k] == letter:
+            k += 1
+        border[i] = k
+    return len(word) - k
 
 
 def exponent_of(word: str) -> Fraction:

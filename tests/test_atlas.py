@@ -6,6 +6,7 @@ import oracles
 from wordpower import (
     AtlasMembership,
     MU,
+    atlas,
     atlas_members,
     atlas_membership,
     check_extension_lemma,
@@ -89,6 +90,21 @@ def test_squares_in_examples():
 @given(binary_words)
 def test_squares_in_matches_oracle(word):
     assert squares_in(word) == oracles.squares(word)
+
+
+@pytest.mark.parametrize("block", [1, 3, 40])
+def test_squares_in_blocks_of_positions_match_oracle(monkeypatch, block):
+    monkeypatch.setattr(atlas, "_SQUARES_BLOCK", block)
+    words = ["", "0", "01", "0" * 40, "01" * 20, "001" * 13, "00110011", word_t(64), "001001" + word_t(58)]
+    for word in words:
+        assert squares_in(word) == oracles.squares(word), word
+        # Blocks hold consecutive positions, with fewer than `block`
+        # squares before the last position of each.
+        last = -1
+        for positions, _ in atlas._square_blocks(word):
+            if len(positions):
+                assert positions[0] > last and (positions < positions[-1]).sum() < block
+                last = positions[-1]
 
 
 def test_is_extendable_square_examples():

@@ -294,6 +294,11 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_unknown_suite_error_is_one_line(capsys):
+    code, out, err = run_cli(capsys, "verify", "extend", "no\nsuch", "nosuch")
+    assert (code, out, err) == (2, "", "error: unknown suite: 'no\\nsuch', nosuch\n")
+
+
 def test_verify_multiple_suites(capsys):
     code, out, _ = run_cli(capsys, "verify", "extend", "fact")
     assert code == 0

@@ -6,7 +6,8 @@
 * Exactness: thresholds whose need(p) overflows int64, alphabets beyond
   {0, 1}, the integer-only LCE, and smallest_period, all against
   tests/oracles.py.
-* A memory guard and the queries at the 2^20-letter cap.
+* A memory guard, smallest_period in linear time on 0^m 1, and the
+  queries at the 2^20-letter cap.
 """
 
 import random
@@ -243,6 +244,17 @@ def test_smallest_period_matches_oracle():
         expected = oracles.smallest_period(word)
         assert smallest_period(word) == expected, (len(word), expected)
         assert exponent_of(word) == Fraction(len(word), expected)
+
+
+def test_smallest_period_is_linear_time_at_2_17():
+    # Every shift of 0^m 1 matches for m - p letters, which made a scan
+    # of LCE(0, p) over all p quadratic: 8 s at m = 2^17.
+    m = 1 << 17
+    for word, expected in [("0" * m + "1", m + 1), ("0" * m + "1" + "0" * m, m + 1), ("01" * m, 2)]:
+        start = time.perf_counter()
+        assert smallest_period(word) == expected
+        assert exponent_of(word) == Fraction(len(word), expected)
+        assert time.perf_counter() - start < 2.0, len(word)
 
 
 # --- memory and the length cap ---
