@@ -28,7 +28,7 @@ from typing import Callable
 
 from .exponents import parse_exponent
 from .morphism import G, H, MU
-from .words import DEFAULT_CAP, check_cap, limit_prefix
+from .words import DEFAULT_CAP, CapExceeded, check_cap, limit_prefix
 
 
 def word_t(n: int, cap: int = DEFAULT_CAP) -> str:
@@ -178,8 +178,10 @@ def beta_params(alpha: Fraction | int, s: int, cap: int = DEFAULT_CAP) -> BetaPa
         raise ValueError(f"alpha must exceed 2, got {alpha}")
     if s < 3:
         raise ValueError(f"s must be at least 3, got {s}")
+    if s >= cap.bit_length():
+        # 2^s > cap; compared by bit length, so no 2^s is ever built.
+        raise CapExceeded(f"requested 2^{s} letters, cap is {cap}")
     block = 1 << s
-    check_cap(block, cap)
     r = math.floor(alpha) + 1
     base = MU.iterate("0", s, cap=cap)
     margin = (r - alpha) * block

@@ -159,8 +159,36 @@ def _windows(word: str) -> tuple[_Windows, _Windows]:
     return _Windows(codes, bits), _Windows(codes[::-1], bits)
 
 
+def _direct(padded: np.ndarray, width: int, p: int, spacing: np.ndarray):
+    """The direct scan: runs of w[i] == w[i + p + k] of at least
+    spacing[k] letters, for the periods p + k, k < len(spacing), in each
+    row of ``padded``.  That is an (m, 2n) uint8 matrix: m words of n
+    letters, each followed by n bytes 0xff, which no ASCII letter equals.
+    Only the first ``width`` <= n positions are compared, so a run that
+    reaches position width - 1 may be longer than reported.
+
+    Returns int64 (lines, starts, lengths): line w * len(spacing) + k is
+    word w at period p + k, and its run of L letters from i is the
+    occurrence (i, p + k, p + k + L).
+    """
+    m, rows = len(padded), len(spacing)
+    # Line (w, k) of the view is word w shifted left by p + k.  (Built
+    # directly: sliding_window_view keeps memory on every call.)
+    shifted = np.ndarray((m, rows, width), np.uint8, padded, offset=p, strides=(padded.shape[1], 1, 1))
+    edges = np.zeros((m, rows, width + 2), np.int8)
+    edges[:, :, 1:-1] = shifted == padded[:, None, :width]
+    delta = (edges[:, :, 1:] - edges[:, :, :-1]).ravel()
+    lines, starts = np.divmod((delta == 1).nonzero()[0], width + 1)
+    lengths = (delta == -1).nonzero()[0] - lines * (width + 1) - starts
+    keep = lengths >= (spacing if m == 1 else np.tile(spacing, m))[lines]
+    return lines[keep], starts[keep], lengths[keep]
+
+
 def _runs(
-    word: str, threshold: Callable[[], Fraction], strict: bool
+    word: str,
+    threshold: Callable[[], Fraction],
+    strict: bool,
+    last_start: Callable[[], int] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The maximal repetitions of ``word`` that meet the threshold, as
     int64 (starts, periods, lengths) arrays for chunks of ascending
@@ -169,41 +197,39 @@ def _runs(
     At period p a maximal run of w[i] == w[i+p] of L >= d = max(need(p), 1)
     letters is the occurrence (start, p, p + L).  ``threshold()`` is read
     again for each chunk, so a caller may raise it as it goes; a chunk
-    may then hold runs below the raised threshold.
+    may then hold runs below the raised threshold.  ``last_start()``, when
+    given, is read for each chunk too: the chunk then reports every run
+    that starts at or before it, and may report others with their
+    lengths cut short.
 
-    Periods with d < _CROSSOVER compare the word with its shifts.  Longer
-    spacings place checkpoints q = 0, d, 2d, ... below n - p.  A run of at
-    least d letters covers at least one of them, and exactly one, its
-    first, extends backward by fewer than d letters; that checkpoint's
-    backward and forward LCEs give the run's start and length.
+    Periods with d < _CROSSOVER compare the word with its shifts
+    (:func:`_direct`).  Longer spacings place checkpoints q = 0, d, 2d,
+    ... below n - p.  A run of at least d letters covers at least one of
+    them, and exactly one, its first, extends backward by fewer than d
+    letters; that checkpoint's backward and forward LCEs give the run's
+    start and length.  A run starting at or before s therefore has its
+    first checkpoint below s + d.
     """
     n, p, windows = len(word), 1, None
-    # The word padded with a byte no ASCII letter equals; row k of a view
-    # at offset p with strides (1, 1) is the word shifted left by p + k.
-    # (Built directly: sliding_window_view keeps memory on every call.)
-    padded_word = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8)
-    arr = padded_word[:n]
+    padded = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8).reshape(1, 2 * n)
     index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
     while p < n:
         spacing = _spacings(threshold(), strict, p, n)
         if not spacing.size:
             return
+        bound = n if last_start is None else last_start()
         if spacing[0] < _CROSSOVER:
-            rows = min(int(spacing.searchsorted(_CROSSOVER)), max(1, 4 * _CHUNK // n))
-            padded = np.zeros((rows, n + 2), np.int8)
-            shifted = np.ndarray((rows, n), np.uint8, padded_word, offset=p, strides=(1, 1))
-            padded[:, 1:-1] = shifted == arr
-            delta = (padded[:, 1:] - padded[:, :-1]).ravel()
-            row, starts = np.divmod((delta == 1).nonzero()[0], n + 1)
-            lengths = (delta == -1).nonzero()[0] - row * (n + 1) - starts
-            keep = lengths >= spacing[row]
-            periods = p + row[keep]
-            yield starts[keep], periods, periods + lengths[keep]
+            width = min(n, bound + _CROSSOVER)
+            rows = min(int(spacing.searchsorted(_CROSSOVER)), max(1, 4 * _CHUNK // width))
+            lines, starts, lengths = _direct(padded, width, p, spacing[:rows])
+            periods = p + lines
+            yield starts, periods, periods + lengths
         else:
             forward, backward = windows = windows or _windows(word)
-            counts = (n - 1 - p - np.arange(len(spacing))) // spacing + 1
+            k = np.arange(len(spacing))
+            counts = np.minimum(n - 1 - p - k, bound + spacing - 1) // spacing + 1
             rows = max(1, int(np.searchsorted(np.cumsum(counts), _CHUNK, side="right")))
-            k = np.repeat(np.arange(rows), counts[:rows])
+            k = np.repeat(k[:rows], counts[:rows])
             first = np.cumsum(counts[:rows]) - counts[:rows]
             q = (np.arange(len(k)) - first[k]) * spacing[k]
             per, q, d = (x.astype(index) for x in (p + k, q, spacing[k]))
@@ -294,8 +320,20 @@ def find_power(
     if word and thr == 1 and not strict:
         # Exponent 1 is reached by any single letter; extend at period 1.
         return PowerOccurrence(0, 1, len(word) - len(word.lstrip(word[0])))
-    found = [_leftmost(*runs) for runs in _runs(word, lambda: thr, strict) if runs[0].size]
-    return PowerOccurrence(*min(found)) if found else None
+    best = None
+    # After a witness at start s, later chunks (larger periods) only need
+    # the runs that start at or before s.
+    for runs in _runs(word, lambda: thr, strict, lambda: len(word) if best is None else best[0]):
+        if runs[0].size:
+            found = _leftmost(*runs)
+            best = found if best is None else min(best, found)
+    if best is None:
+        return None
+    # A bounded direct scan may cut the winner's run short: measure it.
+    start, period, _ = best
+    arr = _letters(word)
+    differ = arr[start + period :] != arr[start : len(word) - period]
+    return PowerOccurrence(start, period, period + int(differ.argmax() if differ.any() else differ.size))
 
 
 def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> bool:
@@ -309,6 +347,45 @@ def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> b
     if thr == 1 and not plus:
         return not word
     return not any(starts.size for starts, _, _ in _runs(word, lambda: thr, plus))
+
+
+def _power_free_flags(words: list[str], threshold: Fraction | int, plus: bool = False) -> list[bool]:
+    """``[is_power_free(w, threshold, plus) for w in words]``.
+
+    The words of a length whose periods all lie on the direct path are
+    scanned together: each :func:`_direct` call takes as many of them as
+    fit the working set of 4 * _CHUNK letter pairs, and a word leaves the
+    batch at its first run.  Words of other lengths go one by one.
+    """
+    thr = _as_threshold(threshold)
+    if thr == 1 and not plus:
+        return [not word for word in words]
+    free = [True] * len(words)
+    by_length: dict[int, list[int]] = {}
+    for i, word in enumerate(words):
+        by_length.setdefault(len(word), []).append(i)
+    for n, group in by_length.items():
+        spacing = _spacings(thr, plus, 1, n)
+        if not spacing.size:
+            continue  # no period leaves room for a run that meets the threshold
+        if n > _CHUNK or spacing[-1] >= _CROSSOVER:
+            for i in group:
+                free[i] = is_power_free(words[i], thr, plus)
+            continue
+        padded, live = np.full((len(group), 2 * n), 0xFF, np.uint8), np.array(group)
+        padded[:, :n] = _letters("".join([words[i] for i in group])).reshape(len(group), n)
+        rows = max(1, 4 * _CHUNK // n)
+        for p in range(1, len(spacing) + 1, rows):
+            need = spacing[p - 1 : p - 1 + rows]
+            per_call = max(1, 4 * _CHUNK // (len(need) * n))
+            hit = np.zeros(len(live), bool)
+            for first in range(0, len(live), per_call):
+                lines = _direct(padded[first : first + per_call], n, p, need)[0]
+                hit[first + lines // len(need)] = True
+            for i in live[hit].tolist():
+                free[i] = False
+            padded, live = padded[~hit], live[~hit]
+    return free
 
 
 def list_repetitions(

@@ -37,7 +37,7 @@ from .constructions import (
     word_t,
 )
 from .morphism import F, G, H, MU, descend_power, factorize
-from .repetition import is_power_free, list_repetitions, max_exponent
+from .repetition import _power_free_flags, is_power_free, list_repetitions, max_exponent
 from .words import conjugates, enumerate_words
 
 SEVEN_THIRDS = Fraction(7, 3)
@@ -129,10 +129,14 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
 def _check_freeness_transport() -> tuple[bool, str]:
     """w is 7/3-power-free iff mu(w) is; exhaustive up to length 12."""
     checked = 0
-    for w in _all_words(12):
-        if is_power_free(w, SEVEN_THIRDS) != is_power_free(MU.apply(w), SEVEN_THIRDS):
-            return False, f"freeness transport fails for {w!r}"
-        checked += 1
+    for n in range(13):
+        words = list(enumerate_words(n))
+        free = _power_free_flags(words, SEVEN_THIRDS)
+        image_free = _power_free_flags([MU.apply(w) for w in words], SEVEN_THIRDS)
+        for w, ok, image_ok in zip(words, free, image_free):
+            if ok != image_ok:
+                return False, f"freeness transport fails for {w!r}"
+        checked += len(words)
     return True, f"{checked} words checked"
 
 
@@ -167,14 +171,12 @@ def _check_power_descent() -> tuple[bool, str]:
 def _check_factorization() -> tuple[bool, str]:
     """Every 7/3-power-free word of length 12 admits a short-edge
     factorization with a power-free core."""
-    free = 0
-    for w in enumerate_words(12):
-        if not is_power_free(w, SEVEN_THIRDS):
-            continue
-        free += 1
+    words = list(enumerate_words(12))
+    free = [w for w, ok in zip(words, _power_free_flags(words, SEVEN_THIRDS)) if ok]
+    for w in free:
         if not factorize(w, SEVEN_THIRDS):
             return False, f"no factorization for {w!r}"
-    return True, f"{free} power-free words of length 12 factorized"
+    return True, f"{len(free)} power-free words of length 12 factorized"
 
 
 @_suite("pansiot")
@@ -213,8 +215,11 @@ def _check_conjugate_closure() -> tuple[bool, str]:
     exactly the rotations of the atlas family-A members of that length."""
     members = atlas_members(24, families="A")
     for half in range(1, 13):
+        squares = [x + x for x in enumerate_words(half)]
         enumerated = {
-            x + x for x in enumerate_words(half) if is_power_free(x + x, 2, plus=True)
+            square
+            for square, free in zip(squares, _power_free_flags(squares, 2, plus=True))
+            if free
         }
         closure: set[str] = set()
         for m in members:
@@ -241,9 +246,9 @@ def _check_extendability_dichotomy() -> tuple[bool, str]:
     equivalent to reaching the length-256 search horizon."""
     checked = 0
     for half in range(1, 9):
-        for x in enumerate_words(half):
-            square = x + x
-            if not is_power_free(square, 2, plus=True):
+        squares = [x + x for x in enumerate_words(half)]
+        for square, free in zip(squares, _power_free_flags(squares, 2, plus=True)):
+            if not free:
                 continue
             in_atlas = atlas_membership(square).in_atlas
             reached = max_overlap_free_extension(square, 256) == 256

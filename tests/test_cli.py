@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,26 @@ def test_beta_params_output(capsys):
     assert json_lines(out) == [
         {"kind": "params", "alpha": "11/5", "s": 3, "r": 3, "t": 5, "beta": "19/8"}
     ]
+
+
+@pytest.mark.parametrize("argv", [["beta", "11/5"], ["gen", "beta:11/5:{s}", "1"]], ids=["beta", "gen"])
+def test_beta_block_beyond_the_cap_is_resource_error(capsys, argv):
+    # 2^20000 has over 4300 digits, Python's limit for printing an int.
+    for s in (20000, 21):
+        args = [arg.format(s=s) for arg in argv] + ([str(s)] if argv[0] == "beta" else [])
+        assert run_cli(capsys, *args) == (3, "", f"error: requested 2^{s} letters, cap is 1048576\n")
+    args = [arg.format(s=4) for arg in argv] + (["4"] if argv[0] == "beta" else [])
+    assert run_cli(capsys, "--cap", "15", *args) == (3, "", "error: requested 2^4 letters, cap is 15\n")
+    assert run_cli(capsys, "--cap", "16", *args)[0] == 0
+
+
+def test_beta_with_a_huge_s_returns_at_once(capsys):
+    # 2^(10^10) would take over 1 GB to build as a Python integer.
+    start = time.perf_counter()
+    for argv in (["beta", "11/5", str(10**10)], ["gen", f"beta:11/5:{10**10}", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "") and err.startswith("error: requested 2^10000000000 letters")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_beta_no_valid_t_reports_failure(capsys):

@@ -6,6 +6,9 @@
 * Exactness: thresholds whose need(p) overflows int64, alphabets beyond
   {0, 1}, the integer-only LCE, and smallest_period, all against
   tests/oracles.py.
+* The batch scan behind verify (``_power_free_flags``) against
+  is_power_free word by word, and find_power's early exit against the
+  oracles and the full scan.
 * A memory guard, smallest_period in linear time on 0^m 1, and the
   queries at the 2^20-letter cap.
 """
@@ -31,7 +34,8 @@ from wordpower import (
     word_a,
     word_t,
 )
-from wordpower.repetition import _windows
+from wordpower import repetition
+from wordpower.repetition import _power_free_flags, _windows
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(19, 8), Fraction(5, 2), Fraction(3)]
 SEVEN_THIRDS = Fraction(7, 3)
@@ -255,6 +259,138 @@ def test_smallest_period_is_linear_time_at_2_17():
         assert smallest_period(word) == expected
         assert exponent_of(word) == Fraction(len(word), expected)
         assert time.perf_counter() - start < 2.0, len(word)
+
+
+# --- the batch scan and find_power's early exit ---
+
+FLAG_THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5, 2), Fraction(3)]
+
+
+@pytest.fixture
+def direct_calls(monkeypatch):
+    """Records (words, periods, positions) of every direct-scan call."""
+    calls, direct = [], repetition._direct
+
+    def spy(padded, width, p, spacing):
+        calls.append((len(padded), len(spacing), width))
+        return direct(padded, width, p, spacing)
+
+    monkeypatch.setattr(repetition, "_direct", spy)
+    return calls
+
+
+def test_power_free_flags_match_is_power_free_on_short_words(direct_calls):
+    # Every binary word of up to 10 letters, lengths mixed, the empty word included.
+    words = list(oracles.all_binary_words(10))
+    random.Random(10).shuffle(words)
+    for threshold in FLAG_THRESHOLDS:
+        for plus in (False, True):
+            expected = [is_power_free(w, threshold, plus) for w in words]
+            assert _power_free_flags(words, threshold, plus) == expected, (threshold, plus)
+    direct_calls.clear()
+    _power_free_flags(words, 2, plus=True)
+    assert len(direct_calls) < len(words) / 10  # batched, not one call a word
+
+
+def checkpoint_words():
+    rng = random.Random(11)
+    words = []
+    for n in (64, 65, 100, 127, 200, 256, 300):
+        words += [word_t(n), word_a(n), word_t(2 * n)[n:], random_word(n, rng.random())]
+        words += [word_t(n // 2) * 2, random_word(n, rng.random(), "0001")]
+    return words
+
+
+def test_power_free_flags_on_checkpoint_lengths():
+    # At 7/3 and above these lengths have periods on the checkpoint path
+    # and go word by word; at 3/2 and 1+ they stay on the direct path.
+    words = checkpoint_words()
+    for threshold in FLAG_THRESHOLDS:
+        for plus in (False, True):
+            expected = [is_power_free(w, threshold, plus) for w in words]
+            assert _power_free_flags(words, threshold, plus) == expected, (threshold, plus)
+    assert not all(_power_free_flags(words, SEVEN_THIRDS)) and any(_power_free_flags(words, SEVEN_THIRDS))
+
+
+def test_power_free_flags_small_and_sliced_batches(direct_calls):
+    assert _power_free_flags([], 2) == []
+    threes = [format(code, "03b") for code in range(8)]
+    assert _power_free_flags(threes, 2) == [w in ("010", "101") for w in threes]
+    assert _power_free_flags(threes, 2, plus=True) == [w not in ("000", "111") for w in threes]
+    rng = random.Random(12)
+    # 2000 words of 24 letters: each call takes every period of as many
+    # words as fit the working set.
+    for threshold, plus in [(2, True), (SEVEN_THIRDS, False)]:
+        words = [random_word(24, rng.random(), rng.choice(["01", "012", "0123"])) for _ in range(2000)]
+        expected = [is_power_free(w, threshold, plus) for w in words]
+        direct_calls.clear()
+        assert _power_free_flags(words, threshold, plus) == expected
+        assert all(m * rows * width <= 4 * repetition._CHUNK for m, rows, width in direct_calls)
+        assert 1 < len(direct_calls) < 100 and len({rows for _, rows, _ in direct_calls}) == 1
+    # Words of 300 letters at 1+: chunks of 54 periods, one word a call.
+    # The 40 random words hit in the first chunk and leave; the two words
+    # with no letter repeated within 54 positions go on to the second.
+    cycles = ["".join(chr(33 + i % period) for i in range(300)) for period in (60, 94)]
+    words = [random_word(300, rng.random(), "0123") for _ in range(40)] + cycles
+    direct_calls.clear()
+    assert _power_free_flags(words, 1, plus=True) == [False] * 42
+    assert direct_calls == [(1, 54, 300)] * 44
+
+
+def early_exit_words():
+    rng = random.Random(13)
+    words = {f"random-2^{k}": random_word(1 << k, rng.random()) for k in (10, 11, 12, 13, 14)}
+    words.update({f"{name}-2^{k}": generator(name)(1 << k) for name in ("a", "beta:11/5:3", "wb:01(10)") for k in (8, 10, 13)})
+    # The leftmost overlap, at start 1, has a period in a later chunk than
+    # the 000 at start 4, which the first chunk finds: at period 20 on the
+    # direct path, its run longer than the 36 positions the bounded scan
+    # compares, and at period 300 on the checkpoint path, its first
+    # checkpoint (301) well past 4.
+    t = word_t(4096)
+    for period, copies in ((20, 5), (300, 2)):
+        v = "011000" + t[3 * period : 4 * period - 7] + "0"
+        words[f"late-period-{period}"] = "1" + v * copies + v[:7] + t[1000:3100]
+    return words
+
+
+@pytest.mark.parametrize("name", list(early_exit_words()))
+def test_find_power_early_exit_matches_full_scan(name):
+    word = early_exit_words()[name]
+    for threshold in [Fraction(3, 2), Fraction(2), SEVEN_THIRDS, Fraction(5, 2), Fraction(3)]:
+        for strict in (False, True):
+            listed = list_repetitions(word, threshold, strict)  # every period, no early exit
+            got = find_power(word, threshold, strict)
+            assert got == (listed[0] if listed else None), (name, threshold, strict)
+            # The oracle is quadratic, or worse, until it meets the witness.
+            if len(word) <= 1 << 8 or got is not None and got.start < 8:
+                assert as_tuple(got) == oracles.find_power(word, threshold, strict), (name, threshold, strict)
+
+
+def test_find_power_early_exit_finds_a_smaller_start_later():
+    words = early_exit_words()
+    for period, length in ((20, 107), (300, 607)):
+        word = words[f"late-period-{period}"]
+        assert find_power(word, 2, strict=True) == repetition.PowerOccurrence(1, period, length)
+        first = next(runs for runs in repetition._runs(word, lambda: Fraction(2), True) if runs[0].size)
+        assert first[0].min() == 4 and period not in first[1]
+
+
+def test_find_power_early_exit_skips_checkpoints(monkeypatch):
+    # On a random word the witness starts near 0, after which each
+    # period needs one checkpoint, not about n / p of them.
+    word, queried = random_word(1 << 14, 14), []
+    lce = repetition._Windows.lce
+
+    def spy(self, a, b, limit):
+        queried.append(len(a))
+        return lce(self, a, b, limit)
+
+    monkeypatch.setattr(repetition._Windows, "lce", spy)
+    assert find_power(word, 2, strict=True).start < 8
+    early = sum(queried[::2])  # backward queries: one per checkpoint
+    queried.clear()
+    list_repetitions(word, 2, strict=True)
+    assert early < len(word) < sum(queried[::2]) / 4
 
 
 # --- memory and the length cap ---
