@@ -33,7 +33,6 @@ from .constructions import (
     word_a,
     word_a_automatic,
     word_a_finite,
-    word_s,
     word_t,
 )
 from .morphism import F, G, H, MU, descend_power, factorize
@@ -77,15 +76,17 @@ def run_suite(name: str) -> SuiteResult:
     return SuiteResult(name, passed, time.perf_counter() - started, detail)
 
 
-def run_all() -> list[SuiteResult]:
-    return [run_suite(name) for name in _CHECKS]
-
-
 def _all_words(max_length: int) -> list[str]:
     out: list[str] = []
     for n in range(max_length + 1):
         out.extend(enumerate_words(n))
     return out
+
+
+def _overlap_free_squares(half: int) -> list[str]:
+    """The overlap-free squares x + x with |x| = half, in enumeration order."""
+    squares = [x + x for x in enumerate_words(half)]
+    return [s for s, free in zip(squares, _power_free_flags(squares, 2, plus=True)) if free]
 
 
 @_suite("tmmorph")
@@ -215,19 +216,14 @@ def _check_conjugate_closure() -> tuple[bool, str]:
     exactly the rotations of the atlas family-A members of that length."""
     members = atlas_members(24, families="A")
     for half in range(1, 13):
-        squares = [x + x for x in enumerate_words(half)]
-        enumerated = {
-            square
-            for square, free in zip(squares, _power_free_flags(squares, 2, plus=True))
-            if free
-        }
+        enumerated = set(_overlap_free_squares(half))
         closure: set[str] = set()
         for m in members:
             if len(m) == 2 * half:
                 closure |= conjugates(m)
         if enumerated != closure:
             return False, f"mismatch at length {2 * half}"
-    return True, "even lengths 2..24 match"
+    return True, f"even lengths 2..{2 * half} match"
 
 
 @_suite("extend")
@@ -237,7 +233,7 @@ def _check_blocked_extensions() -> tuple[bool, str]:
     for k in range(5):
         if not check_extension_lemma(k):
             return False, f"extension lemma fails at depth {k}"
-    return True, "depths 0..4 hold"
+    return True, f"depths 0..{k} hold"
 
 
 @_suite("main")
@@ -246,10 +242,7 @@ def _check_extendability_dichotomy() -> tuple[bool, str]:
     equivalent to reaching the length-256 search horizon."""
     checked = 0
     for half in range(1, 9):
-        squares = [x + x for x in enumerate_words(half)]
-        for square, free in zip(squares, _power_free_flags(squares, 2, plus=True)):
-            if not free:
-                continue
+        for square in _overlap_free_squares(half):
             in_atlas = atlas_membership(square).in_atlas
             reached = max_overlap_free_extension(square, 256) == 256
             if in_atlas != reached:
@@ -372,4 +365,4 @@ def _check_beta_construction() -> tuple[bool, str]:
         if abs(alpha - drawn.beta) > Fraction(8, 2**s):
             return False, f"closeness bound fails for alpha={alpha}, s={s}"
         accepted += 1
-    return True, f"reference exact; 20 random draws within bound ({rejected} rejected)"
+    return True, f"reference exact; {accepted} random draws within bound ({rejected} rejected)"

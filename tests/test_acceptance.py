@@ -1,5 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
+A criterion with a ``wordpower verify`` suite runs it (see SUITES) and
+asserts its exact detail, so a suite cannot quietly shrink its domain.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they appear (without -s pytest shows them for failing tests only).
 """
@@ -7,43 +10,62 @@ they appear (without -s pytest shows them for failing tests only).
 import random
 import re
 import time
-from collections import Counter
 from fractions import Fraction
 
 import oracles
 from wordpower import (
-    BetaSearchError,
-    F,
-    G,
-    H,
-    MU,
-    atlas_members,
-    atlas_membership,
-    beta_params,
-    beta_word,
-    check_extension_lemma,
-    enumerate_words,
-    find_power,
-    g_b,
-    is_power_free,
-    list_repetitions,
-    max_exponent,
-    max_overlap_free_extension,
-    squares_in,
-    word_a,
-    word_a_automatic,
-    word_a_finite,
-    word_s,
-    word_t,
+    BetaSearchError, MU, beta_params, find_power, is_power_free, squares_in, verify,
+    word_s, word_t,
 )
 
-SEVEN_THIRDS = Fraction(7, 3)
+# criterion -> {verify suite it runs: the detail that suite must report}
+SUITES = {
+    2: {"pansiot": "37 distinct squares, 20 members located"},
+    3: {"square": "3396 positions start a square, none starts two"},
+    4: {"conj": "even lengths 2..24 match"},
+    5: {"extend": "depths 0..4 hold"},
+    6: {"main": "34 overlap-free squares classified"},
+    8: {"shur": "8191 words checked", "tmmorph": "2794155 ordered pairs checked"},
+    9: {"fact": "64 power-free words of length 12 factorized"},
+    10: {
+        "infinite": "max exponent 9/4, overlap periods [4, 16, 64, 256, 1024, 4096]",
+        "finite-overlaps": "stable start set [0]",
+    },
+    11: {"uncount": "31 bit strings checked"},
+    12: {"automatic": "presentation, length law, forbidden pairs and recursion hold"},
+    13: {"beta": "reference exact; 20 random draws within bound (3 rejected)"},
+}
+# Suites that no criterion runs; tests/test_verify.py still runs them.
+NO_CRITERION = {"stronger"}
 
 
 def report(number, name, ok, note=""):
     suffix = f" ({note})" if note else ""
     print(f"[criterion {number:02d}] {name}: {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"criterion {number} failed: {name}{suffix}"
+
+
+def run_suites(number):
+    for name, detail in SUITES[number].items():
+        result = verify.run_suite(name)
+        note = result.detail if result.detail == detail else f"{result.detail}; expected {detail}"
+        report(number, f"suite {name}", result.passed and result.detail == detail, note)
+
+
+def suite_criterion(number):
+    """A criterion that consists of its suites alone."""
+    return lambda: run_suites(number)
+
+
+test_criterion_02_squares_of_t_are_exactly_family_a = suite_criterion(2)
+test_criterion_03_at_most_one_square_per_position = suite_criterion(3)
+test_criterion_04_overlap_free_squares_are_conjugates = suite_criterion(4)
+test_criterion_05_blocked_extension_lemma = suite_criterion(5)
+test_criterion_06_extendability_dichotomy = suite_criterion(6)
+test_criterion_09_factorization_exists = suite_criterion(9)
+test_criterion_10_word_a_profile_and_stability = suite_criterion(10)
+test_criterion_11_bit_steered_family_finite_form = suite_criterion(11)
+test_criterion_12_automatic_presentation = suite_criterion(12)
 
 
 def test_criterion_01_thue_morse_prefix_overlap_free():
@@ -55,61 +77,6 @@ def test_criterion_01_thue_morse_prefix_overlap_free():
            f"scan took {elapsed:.2f}s")
 
 
-def test_criterion_02_squares_of_t_are_exactly_family_a():
-    squares = squares_in(word_t(4096))
-    distinct = {square for _, square in squares}
-    all_family_a = all(atlas_membership(s).family == "A" for s in distinct)
-    long_prefix = word_t(1 << 14)
-    members = atlas_members(64, families="A")
-    all_occur = all(member in long_prefix for member in members)
-    report(2, "squares of t lie in family A and members occur",
-           all_family_a and all_occur,
-           f"{len(distinct)} distinct squares, {len(members)} members")
-
-
-def test_criterion_03_at_most_one_square_per_position():
-    counts = Counter(pos for pos, _ in squares_in(word_t(4096)))
-    worst = max(counts.values(), default=0)
-    report(3, "square starts are unique per position", worst <= 1,
-           f"{len(counts)} occupied positions, max multiplicity {worst}")
-
-
-def test_criterion_04_overlap_free_squares_are_conjugates():
-    members = atlas_members(24, families="A")
-    ok = True
-    for half in range(1, 13):
-        enumerated = {
-            x + x for x in enumerate_words(half) if is_power_free(x + x, 2, plus=True)
-        }
-        closure = set()
-        for member in members:
-            if len(member) == 2 * half:
-                closure.update(member[i:] + member[:i] for i in range(len(member)))
-        ok &= enumerated == closure
-    report(4, "overlap-free squares = rotations of family A, lengths 2..24", ok)
-
-
-def test_criterion_05_blocked_extension_lemma():
-    ok = all(check_extension_lemma(k) for k in range(5))
-    report(5, "both extensions of mu^k(011011|100100) contain overlaps, k=0..4", ok)
-
-
-def test_criterion_06_extendability_dichotomy():
-    checked = 0
-    ok = True
-    for half in range(1, 9):
-        for x in enumerate_words(half):
-            square = x + x
-            if not is_power_free(square, 2, plus=True):
-                continue
-            in_atlas = atlas_membership(square).in_atlas
-            reached = max_overlap_free_extension(square, 256) == 256
-            ok &= in_atlas == reached
-            checked += 1
-    report(6, "atlas membership iff 256-extension, squares up to 16", ok,
-           f"{checked} squares")
-
-
 def test_criterion_07_prefix_square_occurs_only_at_start():
     prefix = word_s(2048)
     occurrences = [m.start() for m in re.finditer("(?=001001)", prefix)]
@@ -118,10 +85,8 @@ def test_criterion_07_prefix_square_occurs_only_at_start():
 
 
 def test_criterion_08_morphism_transport_exhaustive():
-    free_transport = all(
-        is_power_free(w, SEVEN_THIRDS) == is_power_free(MU.apply(w), SEVEN_THIRDS)
-        for w in oracles.all_binary_words(12)
-    )
+    run_suites(8)
+    # Every ordered pair by brute force: the reference for tmmorph's grouping.
     words = list(oracles.all_binary_words(10))
     images = {w: MU.apply(w) for w in words}
     edge_transport = True
@@ -133,83 +98,12 @@ def test_criterion_08_morphism_transport_exhaustive():
             my = images[y]
             if y.startswith(x) != my.startswith(mx) or y.endswith(x) != my.endswith(mx):
                 edge_transport = False
-    report(8, "freeness transport (<=12) and prefix/suffix transport (<=10)",
-           free_transport and edge_transport)
-
-
-def test_criterion_09_factorization_exists():
-    from wordpower import factorize
-
-    free_words = [w for w in enumerate_words(12) if is_power_free(w, SEVEN_THIRDS)]
-    ok = all(len(factorize(w, SEVEN_THIRDS)) >= 1 for w in free_words)
-    report(9, "every 7/3-power-free word of length 12 factorizes", ok,
-           f"{len(free_words)} words")
-
-
-def test_criterion_10_word_a_profile_and_stability():
-    prefix = word_a(9557)
-    top, _ = max_exponent(prefix)
-    below = top < SEVEN_THIRDS
-    periods = {occ.period for occ in list_repetitions(prefix, 2, strict=True)}
-    has_overlaps = {4, 16, 64} <= periods
-
-    def period4_starts(n):
-        return {o.start for o in list_repetitions(word_a(n), 2, strict=True) if o.period == 4}
-
-    stable = period4_starts(4**6) == period4_starts(4**7)
-    report(10, "word a: exponent < 7/3, overlaps at 4/16/64, stable period-4 set",
-           below and has_overlaps and stable,
-           f"max exponent {top}, periods {sorted(periods)}")
-
-
-def test_criterion_11_bit_steered_family_finite_form():
-    bit_strings = [""]
-    for k in range(1, 5):
-        bit_strings.extend(enumerate_words(k))
-    free = all(is_power_free(g_b(b, "00"), SEVEN_THIRDS) for b in bit_strings)
-    incompatible = True
-    for b in bit_strings:
-        left, right = g_b(b + "0", "0"), g_b(b + "1", "0")
-        incompatible &= not left.startswith(right) and not right.startswith(left)
-    ends_overlap = all(
-        any(o.end == len(w) for o in list_repetitions(w, 2, strict=True))
-        for w in (g_b(b + "1", "00") for b in bit_strings)
-    )
-    report(11, "bit-steered words: free, prefix-incompatible, overlap-tailed",
-           free and incompatible and ends_overlap, f"{len(bit_strings)} bit strings")
-
-
-def test_criterion_12_automatic_presentation():
-    same = word_a_automatic(4096) == word_a(4096)
-    lengths = all(
-        len(word_a_finite(n)) == (4 ** (n + 1) + 3 * 4**n - 1) // 3 for n in range(8)
-    )
-    fixed = H.fixed_point_prefix("0", 4096)
-    pairs_absent = all(
-        pair not in fixed
-        for pair in ("11", "14", "22", "24", "31", "33", "41", "44", "43", "12")
-    )
-    recursion = True
-    for n in range(1, 6):
-        lhs = H.iterate("0", n)
-        rhs = "0" + F.apply(H.iterate("0", n - 1))
-        recursion &= len(rhs) == len(lhs) + 1 and rhs.startswith(lhs)
-    coding = all(
-        G.apply(F.apply(a)) == MU.iterate(G.apply(a), 2) for a in "01234"
-    )
-    report(12, "4-automatic presentation of word a",
-           same and lengths and pairs_absent and recursion and coding)
+    report(8, "prefix/suffix transport, every pair of words <= 10", edge_transport)
 
 
 def test_criterion_13_beta_construction():
-    params = beta_params(Fraction(11, 5), 3)
-    exact = (params.r, params.t, params.beta) == (3, 5, Fraction(19, 8))
-    prefix = beta_word(params, 4096)
-    free = is_power_free(prefix, Fraction(19, 8), plus=True)
-    periods = {
-        occ.period for occ in list_repetitions(prefix, Fraction(19, 8), strict=False)
-    }
-    present = {8, 64} <= periods
+    run_suites(13)
+    # Closeness on draws of its own: other seed and finer alphas than the suite's.
     rng = random.Random(0xACCE97)
     bound_holds = True
     accepted = 0
@@ -222,13 +116,11 @@ def test_criterion_13_beta_construction():
             continue  # no valid drop length at this s; redraw
         bound_holds &= abs(alpha - drawn.beta) <= Fraction(8, 2**s)
         accepted += 1
-    report(13, "beta construction: exact params, freeness, powers, closeness",
-           exact and free and present and bound_holds,
-           f"beta powers at periods {sorted(periods)}")
+    report(13, "beta closeness on 20 draws of alpha = k/120", bound_holds)
 
 
 def test_criterion_14_oracle_equivalence():
-    thresholds = [(Fraction(2), False), (Fraction(2), True), (SEVEN_THIRDS, False)]
+    thresholds = [(Fraction(2), False), (Fraction(2), True), (Fraction(7, 3), False)]
 
     def agree(word):
         for threshold, strict in thresholds:
@@ -246,3 +138,9 @@ def test_criterion_14_oracle_equivalence():
     )
     report(14, "kernel agrees with the naive oracle (<=14 exhaustive, 1000x200 random)",
            exhaustive and sampled)
+
+
+def test_every_suite_has_a_criterion_or_is_listed_without_one():
+    run = {name for suites in SUITES.values() for name in suites}
+    assert not run & NO_CRITERION
+    assert run | NO_CRITERION == set(verify.suite_names())

@@ -23,6 +23,7 @@ import pytest
 
 import oracles
 from wordpower import (
+    MU,
     exponent_of,
     find_power,
     generator,
@@ -287,6 +288,17 @@ def test_power_free_flags_match_is_power_free_on_short_words(direct_calls):
         for plus in (False, True):
             expected = [is_power_free(w, threshold, plus) for w in words]
             assert _power_free_flags(words, threshold, plus) == expected, (threshold, plus)
+    # The domains verify filters: words of up to 12 letters and their
+    # mu-images at 7/3 (shur, fact), squares x + x with |x| <= 12 at 2+
+    # (conj, main).
+    words12 = list(oracles.all_binary_words(12))
+    for domain, threshold, plus in [
+        (words12, SEVEN_THIRDS, False),
+        ([MU.apply(w) for w in words12], SEVEN_THIRDS, False),
+        ([x + x for x in words12], 2, True),
+    ]:
+        expected = [is_power_free(w, threshold, plus) for w in domain]
+        assert _power_free_flags(domain, threshold, plus) == expected, (threshold, plus)
     direct_calls.clear()
     _power_free_flags(words, 2, plus=True)
     assert len(direct_calls) < len(words) / 10  # batched, not one call a word

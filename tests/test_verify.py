@@ -58,21 +58,6 @@ def test_tmmorph_passes_on_mu():
     assert result.detail == "2794155 ordered pairs checked"
 
 
-# The suites that filter words with the batch scan keep their details.
-@pytest.mark.parametrize(
-    "name, detail",
-    [
-        ("shur", "8191 words checked"),
-        ("conj", "even lengths 2..24 match"),
-        ("fact", "64 power-free words of length 12 factorized"),
-        ("main", "34 overlap-free squares classified"),
-    ],
-)
-def test_batch_filtered_suites_keep_their_details(name, detail):
-    result = verify.run_suite(name)
-    assert (result.passed, result.detail) == (True, detail)
-
-
 def test_shur_names_the_first_word_whose_image_differs(monkeypatch):
     # mu(00) = 0000 is a 4th power while 00 is 7/3-power-free.
     monkeypatch.setattr(verify, "MU", Morphism({"0": "00", "1": "11"}))
