@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .morphism import MU
-from .repetition import _gather, _runs, is_power_free
+from .repetition import _end_lengths, _ends_in_power, _gather, _runs, is_power_free
 from .words import DEFAULT_CAP, complement
 
 FAMILY_A_BASES = ("00", "11", "010010", "101101")
@@ -175,17 +175,6 @@ def is_extendable_square(word: str) -> bool:
     return atlas_membership(word).in_atlas
 
 
-def _appending_creates_overlap(word: str) -> bool:
-    # Any new overlap in (old word + letter) must end at the last letter:
-    # some suffix of 2p + 1 letters has period p, i.e. its first p + 1
-    # letters equal its last p + 1.
-    n = len(word)
-    for p in range(1, (n + 1) // 2):
-        if word[n - 2 * p - 1 : n - p] == word[n - p - 1 :]:
-            return True
-    return False
-
-
 def max_overlap_free_extension(word: str, cap: int) -> int:
     """Largest L <= cap such that some overlap-free word of length L has
     ``word`` as a prefix (depth-first search; returns cap when reached).
@@ -197,17 +186,21 @@ def max_overlap_free_extension(word: str, cap: int) -> int:
         raise ValueError("cap must be at least the word length")
     if not is_power_free(word, 2, plus=True):
         raise ValueError("word must be overlap-free")
-    best = len(word)
-    stack = [word]
+    best, stack, covered = len(word), [word], 0
     while stack:
         current = stack.pop()
         if len(current) > best:
             best = len(current)
         if best >= cap:
             return cap
+        if len(current) >= covered:
+            # Built for twice the depth reached, not for the cap: a search
+            # that dies early needs no table of cap / 2 periods.
+            covered = min(cap, 2 * len(current) + 2)
+            overlaps = _end_lengths(2, True, covered)
         for letter in "01":
             candidate = current + letter
-            if len(candidate) <= cap and not _appending_creates_overlap(candidate):
+            if len(candidate) <= cap and not _ends_in_power(candidate, overlaps):
                 stack.append(candidate)
     return best
 

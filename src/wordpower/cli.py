@@ -25,7 +25,7 @@ from .constructions import (
 )
 from .exponents import format_exponent, format_exponent_spec, parse_exponent, parse_exponent_spec
 from .morphism import factorize
-from .words import DEFAULT_CAP, CapExceeded, WordFormatError, check_cap, parse_word
+from .words import DEFAULT_CAP, CapExceeded, check_cap, parse_word
 
 # The modules that scan (repetition, atlas, verify) load numpy, so each
 # command imports them only once its arguments are checked: `gen`, `beta`,
@@ -115,12 +115,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     word = _read_word_argument(args.word, args.cap)
-    try:
-        threshold, plus = parse_exponent_spec(args.exponent)
-        if threshold < 1:
-            raise ValueError("threshold must be at least 1")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    threshold, plus = parse_exponent_spec(args.exponent)
+    if threshold < 1:
+        raise _UsageError("threshold must be at least 1")
     from .repetition import find_power
 
     witness = find_power(word, threshold, strict=plus)
@@ -199,10 +196,7 @@ def _cmd_squares(args: argparse.Namespace) -> int:
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
     word = _read_word_argument(args.word, args.cap)
-    try:
-        threshold = parse_exponent(args.threshold)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    threshold = parse_exponent(args.threshold)
     for factorization in factorize(word, threshold):
         _emit(
             {
@@ -219,11 +213,7 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta(args: argparse.Namespace) -> int:
-    try:
-        alpha = parse_exponent(args.alpha)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    params = beta_params(alpha, args.s, cap=args.cap)
+    params = beta_params(parse_exponent(args.alpha), args.s, cap=args.cap)
     _emit(
         {
             "kind": "params",
@@ -337,16 +327,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left early (`| head`): drop the rest of the output
+        # quietly, and exit 1 because not all of it was delivered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
     except BetaSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (_UsageError, UnknownGeneratorError, WordFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -27,6 +27,7 @@ de Bruijn table, never floats.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,26 +162,25 @@ def _windows(word: str) -> tuple[_Windows, _Windows]:
 
 def _direct(padded: np.ndarray, width: int, p: int, spacing: np.ndarray):
     """The direct scan: runs of w[i] == w[i + p + k] of at least
-    spacing[k] letters, for the periods p + k, k < len(spacing), in each
-    row of ``padded``.  That is an (m, 2n) uint8 matrix: m words of n
-    letters, each followed by n bytes 0xff, which no ASCII letter equals.
-    Only the first ``width`` <= n positions are compared, so a run that
-    reaches position width - 1 may be longer than reported.
+    spacing[k] letters, for the periods p + k, k < len(spacing).
+    ``padded`` holds the n letters of w followed by n bytes 0xff, which no
+    ASCII letter equals.  Only the first ``width`` <= n positions are
+    compared, so a run that reaches position width - 1 may be longer than
+    reported.
 
-    Returns int64 (lines, starts, lengths): line w * len(spacing) + k is
-    word w at period p + k, and its run of L letters from i is the
-    occurrence (i, p + k, p + k + L).
+    Returns int64 (lines, starts, lengths): a run of L letters from i on
+    line k is the occurrence (i, p + k, p + k + L).
     """
-    m, rows = len(padded), len(spacing)
-    # Line (w, k) of the view is word w shifted left by p + k.  (Built
+    rows = len(spacing)
+    # Line k of the view is the word shifted left by p + k.  (Built
     # directly: sliding_window_view keeps memory on every call.)
-    shifted = np.ndarray((m, rows, width), np.uint8, padded, offset=p, strides=(padded.shape[1], 1, 1))
-    edges = np.zeros((m, rows, width + 2), np.int8)
-    edges[:, :, 1:-1] = shifted == padded[:, None, :width]
-    delta = (edges[:, :, 1:] - edges[:, :, :-1]).ravel()
+    shifted = np.ndarray((rows, width), np.uint8, padded, offset=p, strides=(1, 1))
+    edges = np.zeros((rows, width + 2), np.int8)
+    edges[:, 1:-1] = shifted == padded[:width]
+    delta = (edges[:, 1:] - edges[:, :-1]).ravel()
     lines, starts = np.divmod((delta == 1).nonzero()[0], width + 1)
     lengths = (delta == -1).nonzero()[0] - lines * (width + 1) - starts
-    keep = lengths >= (spacing if m == 1 else np.tile(spacing, m))[lines]
+    keep = lengths >= spacing[lines]
     return lines[keep], starts[keep], lengths[keep]
 
 
@@ -211,7 +211,7 @@ def _runs(
     first checkpoint below s + d.
     """
     n, p, windows = len(word), 1, None
-    padded = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8).reshape(1, 2 * n)
+    padded = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8)
     index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
     while p < n:
         spacing = _spacings(threshold(), strict, p, n)
@@ -349,42 +349,42 @@ def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> b
     return not any(starts.size for starts, _, _ in _runs(word, lambda: thr, plus))
 
 
-def _power_free_flags(words: list[str], threshold: Fraction | int, plus: bool = False) -> list[bool]:
-    """``[is_power_free(w, threshold, plus) for w in words]``.
+def _end_lengths(threshold: Fraction | int, plus: bool, max_length: int) -> list[int]:
+    """p + need(p) for the periods p = 1, 2, ... with p + need(p) <= max_length,
+    need(p) as in :func:`_spacings`: entry p - 1 is the length of the
+    shortest power of period p that meets the threshold.  Nondecreasing,
+    so a bisection cuts it to the periods that fit a shorter word."""
+    thr, lengths = _as_threshold(threshold), []
+    while (spacing := _spacings(thr, plus, len(lengths) + 1, max_length)).size:
+        lengths += (spacing + np.arange(1, spacing.size + 1) + len(lengths)).tolist()
+    return lengths
 
-    The words of a length whose periods all lie on the direct path are
-    scanned together: each :func:`_direct` call takes as many of them as
-    fit the working set of 4 * _CHUNK letter pairs, and a word leaves the
-    batch at its first run.  Words of other lengths go one by one.
-    """
-    thr = _as_threshold(threshold)
-    if thr == 1 and not plus:
-        return [not word for word in words]
-    free = [True] * len(words)
-    by_length: dict[int, list[int]] = {}
-    for i, word in enumerate(words):
-        by_length.setdefault(len(word), []).append(i)
-    for n, group in by_length.items():
-        spacing = _spacings(thr, plus, 1, n)
-        if not spacing.size:
-            continue  # no period leaves room for a run that meets the threshold
-        if n > _CHUNK or spacing[-1] >= _CROSSOVER:
-            for i in group:
-                free[i] = is_power_free(words[i], thr, plus)
-            continue
-        padded, live = np.full((len(group), 2 * n), 0xFF, np.uint8), np.array(group)
-        padded[:, :n] = _letters("".join([words[i] for i in group])).reshape(len(group), n)
-        rows = max(1, 4 * _CHUNK // n)
-        for p in range(1, len(spacing) + 1, rows):
-            need = spacing[p - 1 : p - 1 + rows]
-            per_call = max(1, 4 * _CHUNK // (len(need) * n))
-            hit = np.zeros(len(live), bool)
-            for first in range(0, len(live), per_call):
-                lines = _direct(padded[first : first + per_call], n, p, need)[0]
-                hit[first + lines // len(need)] = True
-            for i in live[hit].tolist():
-                free[i] = False
-            padded, live = padded[~hit], live[~hit]
+
+def _ends_in_power(word: str, lengths: list[int]) -> bool:
+    """Whether a power ending at the last letter of ``word`` meets the
+    threshold of ``lengths`` (from :func:`_end_lengths`, built for at least
+    len(word) letters): whether, for some p, the suffix of lengths[p - 1]
+    letters has period p.  A power in ``word`` that its prefix lacks ends
+    there, so this is the freeness test of a word grown by one letter."""
+    n = len(word)
+    # A loop, not any() over a generator: this runs on every node of the
+    # extension search, and the generator costs about a quarter more.
+    for p, m in zip(range(1, bisect_right(lengths, n) + 1), lengths):
+        if word[n - m : n - p] == word[n - m + p :]:
+            return True
+    return False
+
+
+def _power_free_words(threshold: Fraction | int, plus: bool, max_length: int) -> list[list[str]]:
+    """The binary words of each length 0..max_length with
+    ``is_power_free(w, threshold, plus)``, each length in lexicographic
+    order, for thresholds above 1 (or 1+).  Every prefix of a free word is
+    free, so each length grows from the one before, letter by letter,
+    keeping w + a when no power ends at its last letter."""
+    lengths = _end_lengths(threshold, plus, max_length)
+    free = [[""]]
+    for _ in range(max_length):
+        free.append([w + a for w in free[-1] for a in "01" if not _ends_in_power(w + a, lengths)])
     return free
 
 

@@ -1,7 +1,10 @@
 """Named verification suites, each re-checking one structural guarantee
 by brute force at desk scale: exhaustive enumeration of words up to 12
 letters and of squares up to 24 letters, scans of prefixes up to
-4^7 = 16,384 letters, extension search capped at 256 letters.
+4^7 = 16,384 letters, extension search capped at 256 letters.  The
+suites that need the power-free words among all words of a length
+(shur, fact, conj, main) grow them letter by letter
+(``repetition._power_free_words``) instead of scanning all 2^n.
 
 Every suite returns (passed, detail); :func:`run_suite` adds timing.
 Suite names are stable CLI surface: tmmorph, shur, stronger, fact,
@@ -36,7 +39,14 @@ from .constructions import (
     word_t,
 )
 from .morphism import F, G, H, MU, descend_power, factorize
-from .repetition import _power_free_flags, is_power_free, list_repetitions, max_exponent
+from .repetition import (
+    _end_lengths,
+    _ends_in_power,
+    _power_free_words,
+    is_power_free,
+    list_repetitions,
+    max_exponent,
+)
 from .words import conjugates, enumerate_words
 
 SEVEN_THIRDS = Fraction(7, 3)
@@ -83,10 +93,11 @@ def _all_words(max_length: int) -> list[str]:
     return out
 
 
-def _overlap_free_squares(half: int) -> list[str]:
-    """The overlap-free squares x + x with |x| = half, in enumeration order."""
-    squares = [x + x for x in enumerate_words(half)]
-    return [s for s, free in zip(squares, _power_free_flags(squares, 2, plus=True)) if free]
+def _overlap_free_squares(max_half: int) -> list[list[str]]:
+    """Entry h: the overlap-free squares x + x with |x| = h, in
+    lexicographic order, for h = 0..max_half."""
+    free = _power_free_words(2, True, 2 * max_half)
+    return [[w for w in free[2 * h] if w[:h] == w[h:]] for h in range(max_half + 1)]
 
 
 @_suite("tmmorph")
@@ -129,16 +140,15 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
 @_suite("shur")
 def _check_freeness_transport() -> tuple[bool, str]:
     """w is 7/3-power-free iff mu(w) is; exhaustive up to length 12."""
-    checked = 0
-    for n in range(13):
-        words = list(enumerate_words(n))
-        free = _power_free_flags(words, SEVEN_THIRDS)
-        image_free = _power_free_flags([MU.apply(w) for w in words], SEVEN_THIRDS)
-        for w, ok, image_ok in zip(words, free, image_free):
-            if ok != image_ok:
-                return False, f"freeness transport fails for {w!r}"
-        checked += len(words)
-    return True, f"{checked} words checked"
+    words = _all_words(12)
+    images = [MU.apply(w) for w in words]
+    # Each word and image is looked up among the free words of its own length.
+    longest = max(len(x) for x in words + images)
+    free = [set(of_length) for of_length in _power_free_words(SEVEN_THIRDS, False, longest)]
+    for w, image in zip(words, images):
+        if (w in free[len(w)]) != (image in free[len(image)]):
+            return False, f"freeness transport fails for {w!r}"
+    return True, f"{len(words)} words checked"
 
 
 @_suite("stronger")
@@ -172,8 +182,7 @@ def _check_power_descent() -> tuple[bool, str]:
 def _check_factorization() -> tuple[bool, str]:
     """Every 7/3-power-free word of length 12 admits a short-edge
     factorization with a power-free core."""
-    words = list(enumerate_words(12))
-    free = [w for w, ok in zip(words, _power_free_flags(words, SEVEN_THIRDS)) if ok]
+    free = _power_free_words(SEVEN_THIRDS, False, 12)[12]
     for w in free:
         if not factorize(w, SEVEN_THIRDS):
             return False, f"no factorization for {w!r}"
@@ -214,9 +223,9 @@ def _check_square_start_uniqueness() -> tuple[bool, str]:
 def _check_conjugate_closure() -> tuple[bool, str]:
     """For every even length up to 24, the overlap-free squares are
     exactly the rotations of the atlas family-A members of that length."""
-    members = atlas_members(24, families="A")
+    members, squares = atlas_members(24, families="A"), _overlap_free_squares(12)
     for half in range(1, 13):
-        enumerated = set(_overlap_free_squares(half))
+        enumerated = set(squares[half])
         closure: set[str] = set()
         for m in members:
             if len(m) == 2 * half:
@@ -241,8 +250,8 @@ def _check_extendability_dichotomy() -> tuple[bool, str]:
     """Among overlap-free squares of length <= 16, atlas membership is
     equivalent to reaching the length-256 search horizon."""
     checked = 0
-    for half in range(1, 9):
-        for square in _overlap_free_squares(half):
+    for of_half in _overlap_free_squares(8)[1:]:
+        for square in of_half:
             in_atlas = atlas_membership(square).in_atlas
             reached = max_overlap_free_extension(square, 256) == 256
             if in_atlas != reached:
@@ -284,28 +293,21 @@ def _check_word_a_profile() -> tuple[bool, str]:
     return True, f"max exponent {top}, overlap periods {sorted(periods)}"
 
 
-def _ends_with_overlap(word: str) -> bool:
-    return any(
-        occ.end == len(word)
-        for occ in list_repetitions(word, 2, strict=True)
-    )
-
-
 @_suite("uncount")
 def _check_bit_steered_family() -> tuple[bool, str]:
     """Finite form of the uncountable-family argument: short bit strings
     give 7/3-power-free words, sibling outputs are prefix-incompatible,
     and a trailing 1 bit plants an overlap at the end."""
-    bit_strings = [""]
-    for k in range(1, 5):
-        bit_strings.extend(enumerate_words(k))
-    for bits in bit_strings:
+    bit_strings = _all_words(4)
+    planted = [g_b(bits + "1", "00") for bits in bit_strings]
+    overlaps = _end_lengths(2, True, max(map(len, planted)))
+    for bits, word in zip(bit_strings, planted):
         if not is_power_free(g_b(bits, "00"), SEVEN_THIRDS):
             return False, f"g_{bits or 'e'}(00) is not 7/3-power-free"
         left, right = g_b(bits + "0", "0"), g_b(bits + "1", "0")
         if left.startswith(right) or right.startswith(left):
             return False, f"prefix incompatibility fails after {bits!r}"
-        if not _ends_with_overlap(g_b(bits + "1", "00")):
+        if not _ends_in_power(word, overlaps):
             return False, f"g_{bits + '1'}(00) does not end with an overlap"
     return True, f"{len(bit_strings)} bit strings checked"
 

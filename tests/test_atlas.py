@@ -138,20 +138,24 @@ def test_max_overlap_free_extension_preconditions():
         max_overlap_free_extension("0110", 2)  # cap below the word
 
 
-def test_appending_creates_overlap_matches_letter_loop(monkeypatch):
+def test_ends_in_power_matches_letter_loop(monkeypatch):
     from wordpower import atlas, verify
+    from wordpower.repetition import _end_lengths
 
-    check, candidates = atlas._appending_creates_overlap, []
+    check, candidates = atlas._ends_in_power, []
 
-    def recording(word):
-        candidates.append(word)
-        return check(word)
+    def recording(word, lengths):
+        candidates.append((word, lengths))
+        return check(word, lengths)
 
-    monkeypatch.setattr(atlas, "_appending_creates_overlap", recording)
+    monkeypatch.setattr(atlas, "_ends_in_power", recording)
     assert verify.run_suite("main").passed
     assert len(candidates) == 12928
-    for word in [*oracles.all_binary_words(14), *candidates]:
-        assert check(word) == oracles.appending_creates_overlap(word), word
+    # Each candidate with the table the search held for it, which grows
+    # with the depth reached.
+    overlaps = _end_lengths(2, True, 14)
+    for word, lengths in [*((w, overlaps) for w in oracles.all_binary_words(14)), *candidates]:
+        assert check(word, lengths) == oracles.appending_creates_overlap(word), word
 
 
 def test_extension_results_are_cap_independent_when_finite():

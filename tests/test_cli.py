@@ -110,6 +110,21 @@ def test_check_malformed_inputs(capsys):
     assert run_cli(capsys, "check", "0011", "1/2")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["check", "0011", "x"], "error: malformed exponent 'x'; expected 'p/q' or 'n'"),
+        (["check", "0011", "1/2"], "error: threshold must be at least 1"),
+        (["check", "0011", "2/0"], "error: malformed exponent '2/0'; zero denominator"),
+        (["factorize", "00110011", "--threshold", "x"], "error: malformed exponent 'x'; expected 'p/q' or 'n'"),
+        (["beta", "x", "3"], "error: malformed exponent 'x'; expected 'p/q' or 'n'"),
+    ],
+    ids=["check-x", "check-1/2", "check-2/0", "factorize-x", "beta-x"],
+)
+def test_malformed_exponent_error_lines(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+
 def test_word_file_input(capsys, tmp_path):
     path = tmp_path / "word.txt"
     path.write_text("001100110\n")
@@ -345,6 +360,32 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "01101001"
+
+
+@pytest.mark.parametrize(
+    "argv, head, expected",
+    [
+        (["--json", "verify", "all"], ["head", "-2"], lambda out: [r["suite"] for r in json_lines(out)] == ["tmmorph", "shur"]),
+        (["squares", "0" * 300], ["head", "-1"], lambda out: out == "pos=0 square=00 family=A level=0 base=00\n"),
+        (["gen", "t", "1048576"], ["head", "-c", "10"], lambda out: out == "0110100110"),
+    ],
+    ids=["verify", "squares", "gen"],
+)
+def test_reader_closing_the_pipe_early_exits_1_quietly(argv, head, expected):
+    # Line by line output, so that the reader is gone before the writer is
+    # done, as in a terminal pipeline.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), PYTHONUNBUFFERED="1")
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "wordpower", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    reader = subprocess.Popen(head, stdin=writer.stdout, stdout=subprocess.PIPE, text=True)
+    writer.stdout.close()
+    out, _ = reader.communicate(timeout=60)
+    assert expected(out)
+    assert writer.wait(timeout=60) == 1
+    assert writer.stderr.read() == b""
+    writer.stderr.close()
 
 
 def test_verify_all_must_be_given_alone(capsys):

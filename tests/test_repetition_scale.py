@@ -6,9 +6,10 @@
 * Exactness: thresholds whose need(p) overflows int64, alphabets beyond
   {0, 1}, the integer-only LCE, and smallest_period, all against
   tests/oracles.py.
-* The batch scan behind verify (``_power_free_flags``) against
-  is_power_free word by word, and find_power's early exit against the
-  oracles and the full scan.
+* The power-free words that verify grows letter by letter
+  (``_power_free_words``) against is_power_free, the end-of-word test
+  behind them against the oracles, and find_power's early exit against
+  the oracles and the full scan.
 * A memory guard, smallest_period in linear time on 0^m 1, and the
   queries at the 2^20-letter cap.
 """
@@ -23,7 +24,6 @@ import pytest
 
 import oracles
 from wordpower import (
-    MU,
     exponent_of,
     find_power,
     generator,
@@ -36,7 +36,7 @@ from wordpower import (
     word_t,
 )
 from wordpower import repetition
-from wordpower.repetition import _power_free_flags, _windows
+from wordpower.repetition import _end_lengths, _ends_in_power, _power_free_words, _windows
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(19, 8), Fraction(5, 2), Fraction(3)]
 SEVEN_THIRDS = Fraction(7, 3)
@@ -262,91 +262,45 @@ def test_smallest_period_is_linear_time_at_2_17():
         assert time.perf_counter() - start < 2.0, len(word)
 
 
-# --- the batch scan and find_power's early exit ---
+# --- growing power-free words letter by letter, and find_power's early exit ---
 
-FLAG_THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(5, 2), Fraction(3)]
-
-
-@pytest.fixture
-def direct_calls(monkeypatch):
-    """Records (words, periods, positions) of every direct-scan call."""
-    calls, direct = [], repetition._direct
-
-    def spy(padded, width, p, spacing):
-        calls.append((len(padded), len(spacing), width))
-        return direct(padded, width, p, spacing)
-
-    monkeypatch.setattr(repetition, "_direct", spy)
-    return calls
+ENUMERATED = [(Fraction(2), True), (SEVEN_THIRDS, False), (Fraction(5, 2), False)]
 
 
-def test_power_free_flags_match_is_power_free_on_short_words(direct_calls):
-    # Every binary word of up to 10 letters, lengths mixed, the empty word included.
-    words = list(oracles.all_binary_words(10))
-    random.Random(10).shuffle(words)
-    for threshold in FLAG_THRESHOLDS:
-        for plus in (False, True):
-            expected = [is_power_free(w, threshold, plus) for w in words]
-            assert _power_free_flags(words, threshold, plus) == expected, (threshold, plus)
-    # The domains verify filters: words of up to 12 letters and their
-    # mu-images at 7/3 (shur, fact), squares x + x with |x| <= 12 at 2+
-    # (conj, main).
-    words12 = list(oracles.all_binary_words(12))
-    for domain, threshold, plus in [
-        (words12, SEVEN_THIRDS, False),
-        ([MU.apply(w) for w in words12], SEVEN_THIRDS, False),
-        ([x + x for x in words12], 2, True),
-    ]:
-        expected = [is_power_free(w, threshold, plus) for w in domain]
-        assert _power_free_flags(domain, threshold, plus) == expected, (threshold, plus)
-    direct_calls.clear()
-    _power_free_flags(words, 2, plus=True)
-    assert len(direct_calls) < len(words) / 10  # batched, not one call a word
+@pytest.mark.parametrize("threshold, plus", ENUMERATED, ids=["2+", "7/3", "5/2"])
+def test_power_free_words_match_is_power_free(threshold, plus):
+    free = _power_free_words(threshold, plus, 24)
+    # Up to 12 letters: the is_power_free filter over every word.
+    filtered = [[] for _ in range(13)]
+    for w in oracles.all_binary_words(12):
+        if is_power_free(w, threshold, plus):
+            filtered[len(w)].append(w)
+    assert free[:13] == filtered
+    # From 13 to 24 letters: exactly the free children of the free words
+    # one letter shorter, since every prefix of a free word is free.
+    for n in range(13, 25):
+        children = [w + a for w in free[n - 1] for a in "01"]
+        assert free[n] == [w for w in children if is_power_free(w, threshold, plus)], n
 
 
-def checkpoint_words():
-    rng = random.Random(11)
-    words = []
-    for n in (64, 65, 100, 127, 200, 256, 300):
-        words += [word_t(n), word_a(n), word_t(2 * n)[n:], random_word(n, rng.random())]
-        words += [word_t(n // 2) * 2, random_word(n, rng.random(), "0001")]
-    return words
+def test_ends_in_power_matches_maximal_occurrences():
+    lengths = _end_lengths(SEVEN_THIRDS, False, 12)
+    for w in oracles.all_binary_words(12):
+        ending = any(start + length == len(w) for start, _, length in oracles.maximal_occurrences(w, SEVEN_THIRDS))
+        assert _ends_in_power(w, lengths) == ending, w
 
 
-def test_power_free_flags_on_checkpoint_lengths():
-    # At 7/3 and above these lengths have periods on the checkpoint path
-    # and go word by word; at 3/2 and 1+ they stay on the direct path.
-    words = checkpoint_words()
-    for threshold in FLAG_THRESHOLDS:
-        for plus in (False, True):
-            expected = [is_power_free(w, threshold, plus) for w in words]
-            assert _power_free_flags(words, threshold, plus) == expected, (threshold, plus)
-    assert not all(_power_free_flags(words, SEVEN_THIRDS)) and any(_power_free_flags(words, SEVEN_THIRDS))
-
-
-def test_power_free_flags_small_and_sliced_batches(direct_calls):
-    assert _power_free_flags([], 2) == []
-    threes = [format(code, "03b") for code in range(8)]
-    assert _power_free_flags(threes, 2) == [w in ("010", "101") for w in threes]
-    assert _power_free_flags(threes, 2, plus=True) == [w not in ("000", "111") for w in threes]
-    rng = random.Random(12)
-    # 2000 words of 24 letters: each call takes every period of as many
-    # words as fit the working set.
-    for threshold, plus in [(2, True), (SEVEN_THIRDS, False)]:
-        words = [random_word(24, rng.random(), rng.choice(["01", "012", "0123"])) for _ in range(2000)]
-        expected = [is_power_free(w, threshold, plus) for w in words]
-        direct_calls.clear()
-        assert _power_free_flags(words, threshold, plus) == expected
-        assert all(m * rows * width <= 4 * repetition._CHUNK for m, rows, width in direct_calls)
-        assert 1 < len(direct_calls) < 100 and len({rows for _, rows, _ in direct_calls}) == 1
-    # Words of 300 letters at 1+: chunks of 54 periods, one word a call.
-    # The 40 random words hit in the first chunk and leave; the two words
-    # with no letter repeated within 54 positions go on to the second.
-    cycles = ["".join(chr(33 + i % period) for i in range(300)) for period in (60, 94)]
-    words = [random_word(300, rng.random(), "0123") for _ in range(40)] + cycles
-    direct_calls.clear()
-    assert _power_free_flags(words, 1, plus=True) == [False] * 42
-    assert direct_calls == [(1, 54, 300)] * 44
+def test_ends_in_power_sees_periods_beyond_one_chunk():
+    # The only overlap that ends at the last letter has period 5000, above
+    # the _CHUNK = 4096 periods that one _spacings call covers.
+    x = word_t(1 << 14)[5:5005]
+    word = x + x + x[0]
+    lengths = _end_lengths(2, True, len(word))
+    assert len(lengths) > repetition._CHUNK
+    ending = [occ for occ in list_repetitions(word, 2, strict=True) if occ.end == len(word)]
+    assert [(occ.start, occ.period) for occ in ending] == [(0, 5000)]
+    assert _ends_in_power(word, lengths)
+    assert not _ends_in_power(word[:-1], lengths)
 
 
 def early_exit_words():

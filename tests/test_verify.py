@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from wordpower import MU, Morphism, verify
+from wordpower import MU, Morphism, enumerate_words, is_power_free, verify
 
 
 def test_suite_registry_is_complete_and_ordered():
@@ -63,3 +65,17 @@ def test_shur_names_the_first_word_whose_image_differs(monkeypatch):
     monkeypatch.setattr(verify, "MU", Morphism({"0": "00", "1": "11"}))
     result = verify.run_suite("shur")
     assert (result.passed, result.detail) == (False, "freeness transport fails for '00'")
+
+
+@pytest.mark.parametrize("images", [{"0": "0", "1": "1"}, {"0": "0", "1": "10"}], ids=["1-uniform", "not uniform"])
+def test_shur_looks_each_image_up_at_its_own_length(monkeypatch, images):
+    morphism = Morphism(images)
+    monkeypatch.setattr(verify, "MU", morphism)
+    words = [w for n in range(13) for w in enumerate_words(n)]
+    first = next(
+        (w for w in words if is_power_free(w, Fraction(7, 3)) != is_power_free(morphism.apply(w), Fraction(7, 3))),
+        None,
+    )
+    expected = (True, "8191 words checked") if first is None else (False, f"freeness transport fails for {first!r}")
+    result = verify.run_suite("shur")
+    assert (result.passed, result.detail) == expected
