@@ -17,12 +17,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .constructions import (
-    BetaSearchError,
-    UnknownGeneratorError,
-    beta_params,
-    generator,
-)
+from .constructions import _GENERATOR_NAMES, BetaSearchError, _is_generator_name, beta_params, generator
 from .exponents import format_exponent, format_exponent_spec, parse_exponent, parse_exponent_spec
 from .morphism import factorize
 from .words import DEFAULT_CAP, CapExceeded, check_cap, parse_word
@@ -154,11 +149,8 @@ def _membership_tail(membership: AtlasMembership, json_mode: bool) -> str:
 
 
 def _cmd_squares(args: argparse.Namespace) -> int:
-    try:
+    if _is_generator_name(args.input):
         make = generator(args.input, cap=args.cap)
-    except UnknownGeneratorError:
-        make = None
-    if make is not None:
         if args.length is None:
             raise _UsageError("a generator input needs a prefix length")
         word = make(args.length)
@@ -287,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="print a prefix of a named infinite word")
-    p.add_argument("name", help="t, s, a, a-automatic, wb:<bits>, beta:<alpha>:<s>")
+    p.add_argument("name", help=_GENERATOR_NAMES)
     p.add_argument("length", type=int)
     p.set_defaults(func=_cmd_gen)
 
@@ -326,6 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if [] in vars(args).values():  # Python 3.11's argparse: a one-value positional given "--"
+        parser.error("'--' may end the options only once")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -96,8 +96,6 @@ class BitSpec:
     block: str
 
     def bits(self, count: int) -> str:
-        if count <= len(self.prefix):
-            return self.prefix[:count]
         repeats = -(-(count - len(self.prefix)) // len(self.block))
         return (self.prefix + self.block * repeats)[:count]
 
@@ -219,39 +217,45 @@ class UnknownGeneratorError(ValueError):
     """Generator name not recognized."""
 
 
-def generator(name: str, cap: int = DEFAULT_CAP) -> Callable[[int], str]:
-    """Resolve a generator name to a prefix function.
+def _wb_generator(name: str, cap: int) -> Callable[[int], str]:
+    try:
+        spec = parse_bit_spec(name.partition(":")[2])
+    except ValueError as exc:
+        raise UnknownGeneratorError(str(exc)) from None
+    return lambda n: word_wb(spec, n, cap=cap)
 
-    Known names: "t", "s", "a", "a-automatic", "wb:<bits spec>",
-    "beta:<alpha>:<s>".
-    """
-    if name == "t":
-        return lambda n: word_t(n, cap=cap)
-    if name == "s":
-        return lambda n: word_s(n, cap=cap)
-    if name == "a":
-        return lambda n: word_a(n, cap=cap)
-    if name == "a-automatic":
-        return lambda n: word_a_automatic(n, cap=cap)
-    if name.startswith("wb:"):
-        try:
-            spec = parse_bit_spec(name[3:])
-        except ValueError as exc:
-            raise UnknownGeneratorError(str(exc)) from None
-        return lambda n: word_wb(spec, n, cap=cap)
-    if name.startswith("beta:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise UnknownGeneratorError(
-                f"malformed beta generator {name!r}; expected 'beta:<alpha>:<s>'"
-            )
-        try:
-            alpha = parse_exponent(parts[1])
-            s = int(parts[2])
-        except ValueError as exc:
-            raise UnknownGeneratorError(str(exc)) from None
-        params = beta_params(alpha, s, cap=cap)
-        return lambda n: beta_word(params, n, cap=cap)
-    raise UnknownGeneratorError(
-        f"unknown generator {name!r}; known: t, s, a, a-automatic, wb:<bits>, beta:<alpha>:<s>"
-    )
+
+def _beta_generator(name: str, cap: int) -> Callable[[int], str]:
+    parts = name.split(":")
+    if len(parts) != 3:
+        raise UnknownGeneratorError(f"malformed beta generator {name!r}; expected 'beta:<alpha>:<s>'")
+    try:
+        alpha, s = parse_exponent(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise UnknownGeneratorError(str(exc)) from None
+    params = beta_params(alpha, s, cap=cap)
+    return lambda n: beta_word(params, n, cap=cap)
+
+
+# The generator grammar: each fixed name with its prefix function, and each
+# spec kind with the form of the rest of its names and their resolver.
+_FIXED_GENERATORS = {"t": word_t, "s": word_s, "a": word_a, "a-automatic": word_a_automatic}
+_SPEC_GENERATORS = {"wb:": ("<bits>", _wb_generator), "beta:": ("<alpha>:<s>", _beta_generator)}
+_GENERATOR_NAMES = ", ".join([*_FIXED_GENERATORS, *(k + f for k, (f, _) in _SPEC_GENERATORS.items())])
+
+
+def _is_generator_name(name: str) -> bool:
+    """Whether :func:`generator` resolves ``name`` or reports it malformed."""
+    return name in _FIXED_GENERATORS or name.startswith(tuple(_SPEC_GENERATORS))
+
+
+def generator(name: str, cap: int = DEFAULT_CAP) -> Callable[[int], str]:
+    """Resolve a generator name to a prefix function; an unknown name, or a
+    malformed one of a spec kind, raises :class:`UnknownGeneratorError`."""
+    fixed = _FIXED_GENERATORS.get(name)
+    if fixed is not None:
+        return lambda n: fixed(n, cap=cap)
+    for kind, (_, resolve) in _SPEC_GENERATORS.items():
+        if name.startswith(kind):
+            return resolve(name, cap)
+    raise UnknownGeneratorError(f"unknown generator {name!r}; known: {_GENERATOR_NAMES}")

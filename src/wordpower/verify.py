@@ -7,9 +7,7 @@ suites that need the power-free words among all words of a length
 (``repetition._power_free_words``) instead of scanning all 2^n.
 
 Every suite returns (passed, detail); :func:`run_suite` adds timing.
-Suite names are stable CLI surface: tmmorph, shur, stronger, fact,
-pansiot, square, conj, extend, main, finite-overlaps, infinite, uncount,
-automatic, beta.
+Suite names are stable CLI surface; :func:`suite_names` lists them.
 """
 
 from __future__ import annotations
@@ -238,7 +236,10 @@ def _check_conjugate_closure() -> tuple[bool, str]:
 @_suite("extend")
 def _check_blocked_extensions() -> tuple[bool, str]:
     """Appending any letter to the Thue-Morse images of 011011 or 100100
-    creates an overlap, for iteration depths 0..4."""
+    creates an overlap, for iteration depths 0..4.  Up to reversal and
+    complement these images are the family-B members mu^k(001001) and
+    mu^k(110110), so every one-letter left extension of a family-B member
+    contains an overlap: family B occurs only as a prefix."""
     for k in range(5):
         if not check_extension_lemma(k):
             return False, f"extension lemma fails at depth {k}"

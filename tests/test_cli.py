@@ -180,6 +180,35 @@ def test_squares_length_after_a_word_is_usage_error(capsys, tmp_path):
         assert err.startswith("error:") and "length" in err
 
 
+KNOWN_GENERATORS = "t, s, a, a-automatic, wb:<bits>, beta:<alpha>:<s>"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["squares", "beta:11/5", "64"], "error: malformed beta generator 'beta:11/5'; expected 'beta:<alpha>:<s>'"),
+        (["squares", "wb:0(x)", "64"], "error: malformed bit spec '0(x)'; expected like '01(10)'"),
+        (["squares", "0110", "5"], "error: a prefix length applies only to a generator input"),
+        (["squares", "t"], "error: a generator input needs a prefix length"),
+        (["gen", "nope", "3"], f"error: unknown generator 'nope'; known: {KNOWN_GENERATORS}"),
+    ],
+    ids=["squares-beta", "squares-wb", "squares-word", "squares-t", "gen-nope"],
+)
+def test_generator_input_error_lines(capsys, argv, line):
+    # A malformed spec name reports its own parse error, not the length rule.
+    assert run_cli(capsys, *argv) == (2, "", line + "\n")
+
+
+def test_gen_help_lists_the_names_of_the_unknown_generator_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one help line per argument
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--help"])
+    assert info.value.code == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  name ")]
+    err = run_cli(capsys, "gen", "nope", "3")[2]
+    assert line.split(None, 1)[1] == err.rstrip("\n").split("; known: ")[1] == KNOWN_GENERATORS
+
+
 def per_line_squares_stdout(word, json_mode):
     """What `squares` printed with one json.dumps or f-string and one
     print per square, classified by decoding one level at a time."""

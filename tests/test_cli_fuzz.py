@@ -12,7 +12,7 @@ import io
 import re
 
 import pytest
-from hypothesis import HealthCheck, assume, given, note, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from wordpower.cli import main
@@ -40,32 +40,41 @@ ARGS = {
 }
 
 
-@pytest.fixture(scope="module")
-def word_files(tmp_path_factory):
-    folder = tmp_path_factory.mktemp("words")
-    files = {"free": "001100110\n", "overlap": "01010\r\n", "bad": "0120\n", "long": "01" * 40}
-    for name, text in files.items():
-        (folder / name).write_text(text)
-    names = [*files, "missing"]
-    return [str(folder / name) for name in names] + [f"@{folder / name}" for name in names]
+# Word files, by name relative to the folder the test runs in.
+FILES = {"free": "001100110\n", "overlap": "01010\r\n", "bad": "0120\n", "long": "01" * 40}
+WORD_FILES = [prefix + name for prefix in ("", "@") for name in [*FILES, "missing"]]
+
+
+@pytest.fixture
+def in_word_folder(monkeypatch, tmp_path):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+@st.composite
+def argvs(draw):
+    junk = st.one_of(st.sampled_from(WORDS + SPECS + NUMBERS + FLAGS), st.text(max_size=8))
+    command = draw(st.sampled_from([*ARGS, "nosuch", ""]), label="command")
+    args = []
+    for pool in ARGS.get(command, ()):
+        pool = [*WORDS, *SPECS, *WORD_FILES] if pool == "words" else pool
+        args.append(draw(junk if draw(st.integers(0, 4)) == 4 else st.sampled_from(pool)))
+    args = args[: len(args) - draw(st.integers(0, len(args)))] + draw(st.lists(junk, max_size=1))
+    assume(command != "verify" or "all" not in args)  # every suite: seconds a case
+    return draw(st.lists(st.sampled_from(FLAGS), max_size=1)) + [command, *args]
 
 
 USAGE_ERROR_LINE = re.compile(r"^wordpower( [a-z]+)?: error: ", re.MULTILINE)
 
 
+# A second "--" gives a one-value positional the value [] in Python 3.11's argparse.
+@example(argv=["gen", "t", "--", "--"])
+@example(argv=["check", "0110", "--", "--"])
+@example(argv=["beta", "3", "--", "--"])
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_any_argv_ends_in_a_documented_exit_code(monkeypatch, word_files, data):
-    junk = st.one_of(st.sampled_from(WORDS + SPECS + NUMBERS + FLAGS), st.text(max_size=8))
-    command = data.draw(st.sampled_from([*ARGS, "nosuch", ""]), label="command")
-    args = []
-    for pool in ARGS.get(command, ()):
-        pool = [*WORDS, *SPECS, *word_files] if pool == "words" else pool
-        args.append(data.draw(junk if data.draw(st.integers(0, 4)) == 4 else st.sampled_from(pool)))
-    args = args[: len(args) - data.draw(st.integers(0, len(args)))] + data.draw(st.lists(junk, max_size=1))
-    argv = data.draw(st.lists(st.sampled_from(FLAGS), max_size=1)) + [command, *args]
-    note(f"argv = {argv!r}")
-    assume(command != "verify" or "all" not in args)  # every suite: seconds a case
+@given(argv=argvs())
+def test_any_argv_ends_in_a_documented_exit_code(monkeypatch, in_word_folder, argv):
     monkeypatch.setenv("WORDPOWER_CAP", CAP)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
