@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .morphism import MU
-from .repetition import _end_lengths, _ends_in_power, _gather, _runs, is_power_free
+from .repetition import _free_words, _gather, _runs, is_power_free
 from .words import DEFAULT_CAP, complement
 
 FAMILY_A_BASES = ("00", "11", "010010", "101101")
@@ -186,22 +186,11 @@ def max_overlap_free_extension(word: str, cap: int) -> int:
         raise ValueError("cap must be at least the word length")
     if not is_power_free(word, 2, plus=True):
         raise ValueError("word must be overlap-free")
-    best, stack, covered = len(word), [word], 0
-    while stack:
-        current = stack.pop()
-        if len(current) > best:
-            best = len(current)
-        if best >= cap:
+    best = len(word)
+    for length in map(len, _free_words(word, 2, True, cap)):
+        if length == cap:
             return cap
-        if len(current) >= covered:
-            # Built for twice the depth reached, not for the cap: a search
-            # that dies early needs no table of cap / 2 periods.
-            covered = min(cap, 2 * len(current) + 2)
-            overlaps = _end_lengths(2, True, covered)
-        for letter in "01":
-            candidate = current + letter
-            if len(candidate) <= cap and not _ends_in_power(candidate, overlaps):
-                stack.append(candidate)
+        best = max(best, length)
     return best
 
 

@@ -72,8 +72,9 @@ def _read_word_argument(arg: str, cap: int) -> str:
     otherwise an existing file is read (one ASCII word per file).
 
     A word longer than ``cap`` raises :class:`CapExceeded`; a file is
-    refused by its size, before its word is read, when it holds more than
-    ``cap`` letters besides a final line break.
+    refused, before its word is read, when it holds more than ``cap``
+    letters besides a final line break: by its size when it is a regular
+    file, else once more than cap + 2 bytes come from it.
     """
     if arg.startswith("@"):
         path = arg[1:]
@@ -91,7 +92,11 @@ def _read_word_argument(arg: str, cap: int) -> str:
                 # Count the letters as the size less the line break it ends in.
                 handle.seek(size - _LINE_BREAK_BYTES)
                 check_cap(size - _LINE_BREAK_BYTES + len(handle.read().rstrip()), cap)
-            word = parse_word(handle.read().decode("ascii").strip())
+            # A pipe or device reports size 0: read no more than the cap allows.
+            text = handle.read(cap + _LINE_BREAK_BYTES + 1)
+            if len(text) > cap + _LINE_BREAK_BYTES:
+                raise CapExceeded(f"word file {path!r} holds more than {cap} letters, cap is {cap}")
+            word = parse_word(text.decode("ascii").strip())
     except OSError as exc:
         raise _UsageError(f"cannot read word file {path!r}: {exc}") from None
     check_cap(len(word), cap)

@@ -199,11 +199,13 @@ def beta_word(params: BetaParams, n: int, cap: int = DEFAULT_CAP) -> str:
     times and drops the first t letters; the result always begins with a
     beta power of period 2**s.  Intermediate words are trimmed to the
     needed prefix, which the construction's prefix-consistency allows.
+    The padded word is cut too: only its first ceil(keep / 2**s) letters
+    reach the kept prefix, so a large r never builds 0^(r-2) in full.
     """
     keep = max(n, 2) + params.t
 
     def round_(word: str) -> str:
-        expanded = "0" * (params.r - 2) + word
+        expanded = ("0" * min(params.r - 2, keep) + word)[:keep]
         for _ in range(params.s):
             expanded = MU.apply(expanded)[:keep]
         if not expanded.startswith("00", params.t):

@@ -349,43 +349,48 @@ def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> b
     return not any(starts.size for starts, _, _ in _runs(word, lambda: thr, plus))
 
 
-def _end_lengths(threshold: Fraction | int, plus: bool, max_length: int) -> list[int]:
-    """p + need(p) for the periods p = 1, 2, ... with p + need(p) <= max_length,
-    need(p) as in :func:`_spacings`: entry p - 1 is the length of the
-    shortest power of period p that meets the threshold.  Nondecreasing,
-    so a bisection cuts it to the periods that fit a shorter word."""
-    thr, lengths = _as_threshold(threshold), []
-    while (spacing := _spacings(thr, plus, len(lengths) + 1, max_length)).size:
-        lengths += (spacing + np.arange(1, spacing.size + 1) + len(lengths)).tolist()
-    return lengths
+def _end_test(threshold: Fraction | int, plus: bool) -> Callable[[str], bool]:
+    """The closure ``ends_in_power(word)``: whether a power that meets the
+    threshold ends at the last letter of ``word``, that is whether for some
+    p its suffix of p + need(p) letters (need(p) as in :func:`_spacings`)
+    has period p.  A power in a word that its prefix lacks ends there, so
+    this is the freeness test of a word grown by one letter.  The closure's
+    table of p + need(p), nondecreasing in p, grows in place to cover twice
+    the longest word asked about: it follows the depth a search reaches,
+    never its cap."""
+    thr, lengths, covered = _as_threshold(threshold), [], 0
+
+    def ends_in_power(word: str) -> bool:
+        nonlocal covered
+        n = len(word)
+        if n > covered:
+            covered = 2 * n
+            while (spacing := _spacings(thr, plus, len(lengths) + 1, covered)).size:
+                lengths.extend((spacing + np.arange(1, spacing.size + 1) + len(lengths)).tolist())
+        # A loop, not any() over a generator: this runs on every node of a
+        # search, and the generator costs about a quarter more.
+        for p, m in zip(range(1, bisect_right(lengths, n) + 1), lengths):
+            if word[n - m : n - p] == word[n - m + p :]:
+                return True
+        return False
+
+    return ends_in_power
 
 
-def _ends_in_power(word: str, lengths: list[int]) -> bool:
-    """Whether a power ending at the last letter of ``word`` meets the
-    threshold of ``lengths`` (from :func:`_end_lengths`, built for at least
-    len(word) letters): whether, for some p, the suffix of lengths[p - 1]
-    letters has period p.  A power in ``word`` that its prefix lacks ends
-    there, so this is the freeness test of a word grown by one letter."""
-    n = len(word)
-    # A loop, not any() over a generator: this runs on every node of the
-    # extension search, and the generator costs about a quarter more.
-    for p, m in zip(range(1, bisect_right(lengths, n) + 1), lengths):
-        if word[n - m : n - p] == word[n - m + p :]:
-            return True
-    return False
-
-
-def _power_free_words(threshold: Fraction | int, plus: bool, max_length: int) -> list[list[str]]:
-    """The binary words of each length 0..max_length with
-    ``is_power_free(w, threshold, plus)``, each length in lexicographic
-    order, for thresholds above 1 (or 1+).  Every prefix of a free word is
-    free, so each length grows from the one before, letter by letter,
-    keeping w + a when no power ends at its last letter."""
-    lengths = _end_lengths(threshold, plus, max_length)
-    free = [[""]]
-    for _ in range(max_length):
-        free.append([w + a for w in free[-1] for a in "01" if not _ends_in_power(w + a, lengths)])
-    return free
+def _free_words(word: str, threshold: Fraction | int, plus: bool, max_length: int) -> Iterator[str]:
+    """``word``, which must be free, and its binary extensions of at most
+    ``max_length`` letters with ``is_power_free(w, threshold, plus)``,
+    depth first, each length in lexicographic order.  Every prefix of a
+    free word is free, so the words grow letter by letter, keeping w + a
+    when no power ends at its last letter."""
+    ends_in_power, stack = _end_test(threshold, plus), [word]
+    while stack:
+        current = stack.pop()
+        yield current
+        if len(current) < max_length:
+            for grown in (current + "1", current + "0"):  # 1 first, so 0 comes out first
+                if not ends_in_power(grown):
+                    stack.append(grown)
 
 
 def list_repetitions(

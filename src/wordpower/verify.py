@@ -4,7 +4,7 @@ letters and of squares up to 24 letters, scans of prefixes up to
 4^7 = 16,384 letters, extension search capped at 256 letters.  The
 suites that need the power-free words among all words of a length
 (shur, fact, conj, main) grow them letter by letter
-(``repetition._power_free_words``) instead of scanning all 2^n.
+(``repetition._free_words``) instead of scanning all 2^n.
 
 Every suite returns (passed, detail); :func:`run_suite` adds timing.
 Suite names are stable CLI surface; :func:`suite_names` lists them.
@@ -37,14 +37,7 @@ from .constructions import (
     word_t,
 )
 from .morphism import F, G, H, MU, descend_power, factorize
-from .repetition import (
-    _end_lengths,
-    _ends_in_power,
-    _power_free_words,
-    is_power_free,
-    list_repetitions,
-    max_exponent,
-)
+from .repetition import _end_test, _free_words, is_power_free, list_repetitions, max_exponent
 from .words import conjugates, enumerate_words
 
 SEVEN_THIRDS = Fraction(7, 3)
@@ -94,8 +87,8 @@ def _all_words(max_length: int) -> list[str]:
 def _overlap_free_squares(max_half: int) -> list[list[str]]:
     """Entry h: the overlap-free squares x + x with |x| = h, in
     lexicographic order, for h = 0..max_half."""
-    free = _power_free_words(2, True, 2 * max_half)
-    return [[w for w in free[2 * h] if w[:h] == w[h:]] for h in range(max_half + 1)]
+    free = list(_free_words("", 2, True, 2 * max_half))
+    return [[w for w in free if len(w) == 2 * h and w[:h] == w[h:]] for h in range(max_half + 1)]
 
 
 @_suite("tmmorph")
@@ -140,11 +133,9 @@ def _check_freeness_transport() -> tuple[bool, str]:
     """w is 7/3-power-free iff mu(w) is; exhaustive up to length 12."""
     words = _all_words(12)
     images = [MU.apply(w) for w in words]
-    # Each word and image is looked up among the free words of its own length.
-    longest = max(len(x) for x in words + images)
-    free = [set(of_length) for of_length in _power_free_words(SEVEN_THIRDS, False, longest)]
+    free = set(_free_words("", SEVEN_THIRDS, False, max(map(len, words + images))))
     for w, image in zip(words, images):
-        if (w in free[len(w)]) != (image in free[len(image)]):
+        if (w in free) != (image in free):
             return False, f"freeness transport fails for {w!r}"
     return True, f"{len(words)} words checked"
 
@@ -180,7 +171,7 @@ def _check_power_descent() -> tuple[bool, str]:
 def _check_factorization() -> tuple[bool, str]:
     """Every 7/3-power-free word of length 12 admits a short-edge
     factorization with a power-free core."""
-    free = _power_free_words(SEVEN_THIRDS, False, 12)[12]
+    free = [w for w in _free_words("", SEVEN_THIRDS, False, 12) if len(w) == 12]
     for w in free:
         if not factorize(w, SEVEN_THIRDS):
             return False, f"no factorization for {w!r}"
@@ -301,14 +292,14 @@ def _check_bit_steered_family() -> tuple[bool, str]:
     and a trailing 1 bit plants an overlap at the end."""
     bit_strings = _all_words(4)
     planted = [g_b(bits + "1", "00") for bits in bit_strings]
-    overlaps = _end_lengths(2, True, max(map(len, planted)))
+    ends_in_overlap = _end_test(2, True)
     for bits, word in zip(bit_strings, planted):
         if not is_power_free(g_b(bits, "00"), SEVEN_THIRDS):
             return False, f"g_{bits or 'e'}(00) is not 7/3-power-free"
         left, right = g_b(bits + "0", "0"), g_b(bits + "1", "0")
         if left.startswith(right) or right.startswith(left):
             return False, f"prefix incompatibility fails after {bits!r}"
-        if not _ends_in_power(word, overlaps):
+        if not ends_in_overlap(word):
             return False, f"g_{bits + '1'}(00) does not end with an overlap"
     return True, f"{len(bit_strings)} bit strings checked"
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from wordpower import (
     squares_in,
     word_t,
 )
+from wordpower.words import DEFAULT_CAP
 
 binary_words = st.text(alphabet="01", max_size=30)
 
@@ -139,23 +142,42 @@ def test_max_overlap_free_extension_preconditions():
 
 
 def test_ends_in_power_matches_letter_loop(monkeypatch):
-    from wordpower import atlas, verify
-    from wordpower.repetition import _end_lengths
+    from wordpower import repetition, verify
 
-    check, candidates = atlas._ends_in_power, []
+    make, records = repetition._end_test, []
 
-    def recording(word, lengths):
-        candidates.append((word, lengths))
-        return check(word, lengths)
+    def recording(threshold, plus):
+        ends_in_power, answers = make(threshold, plus), []
+        records.append(answers)
 
-    monkeypatch.setattr(atlas, "_ends_in_power", recording)
+        def record(word):
+            answers.append((word, ends_in_power(word)))
+            return answers[-1][1]
+
+        return record
+
+    monkeypatch.setattr(repetition, "_end_test", recording)
     assert verify.run_suite("main").passed
-    assert len(candidates) == 12928
-    # Each candidate with the table the search held for it, which grows
-    # with the depth reached.
-    overlaps = _end_lengths(2, True, 14)
-    for word, lengths in [*((w, overlaps) for w in oracles.all_binary_words(14)), *candidates]:
-        assert check(word, lengths) == oracles.appending_creates_overlap(word), word
+    # One closure grows the squares of up to 16 letters, then one serves
+    # each search.  Each candidate is checked with the table its closure
+    # held for it, which grows with the depth reached.
+    assert len(records[0]) == 986
+    assert sum(map(len, records[1:])) == 12928
+    fresh = make(2, True)
+    records.append([(w, fresh(w)) for w in oracles.all_binary_words(14)])
+    for answers in records:
+        for word, ends in answers:
+            assert ends == oracles.appending_creates_overlap(word), word
+
+
+def test_extension_table_follows_the_depth_reached_not_the_cap():
+    tracemalloc.start()
+    try:
+        assert max_overlap_free_extension("011011", DEFAULT_CAP) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_extension_results_are_cap_independent_when_finite():

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -297,6 +299,40 @@ def test_cap_applies_to_word_files(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--cap", "16", "check", f"@{path}", "2")
     assert (code, out, err) == (3, "", "error: requested 19 letters, cap is 16\n")
     assert run_cli(capsys, "--cap", "19", "check", f"@{path}", "2")[0] == 2
+
+
+def test_word_file_that_is_not_regular_is_read_to_the_cap_only(capsys, tmp_path, monkeypatch):
+    # A FIFO reports size 0, so only the bytes read can refuse it.
+    fifo = tmp_path / "word"
+    os.mkfifo(fifo)
+    unsent = []
+
+    def feed():
+        fd, data = os.open(fifo, os.O_WRONLY), memoryview(b"0" * (1 << 20))
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+            unsent.append(len(data))
+
+    read = []
+
+    class Counted(io.BufferedReader):
+        def read(self, size=-1):
+            read.append(len(data := super().read(size)))
+            return data
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: Counted(io.FileIO(path, mode)), raising=False)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    code, out, err = run_cli(capsys, "--cap", "64", "check", f"@{fifo}", "2")
+    writer.join(timeout=10)
+    assert (code, out, err) == (3, "", f"error: word file {str(fifo)!r} holds more than 64 letters, cap is 64\n")
+    assert sum(read) <= 67
+    assert unsent and unsent[0] > 0  # the writer was cut off, not drained
 
 
 def test_factorize_canonical_first(capsys):

@@ -72,6 +72,8 @@ USAGE_ERROR_LINE = re.compile(r"^wordpower( [a-z]+)?: error: ", re.MULTILINE)
 @example(argv=["gen", "t", "--", "--"])
 @example(argv=["check", "0110", "--", "--"])
 @example(argv=["beta", "3", "--", "--"])
+# A beta generator's padding 0^(r-2) once had r - 2 letters in full.
+@example(argv=["gen", "beta:100000000000000000000/3:3", "5"])
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
 def test_any_argv_ends_in_a_documented_exit_code(monkeypatch, in_word_folder, argv):

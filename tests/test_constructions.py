@@ -184,6 +184,19 @@ def test_beta_word_prefix_consistency(n, m):
     assert beta_word(params, hi)[:lo] == beta_word(params, lo)
 
 
+def test_beta_word_with_a_large_alpha_pads_only_what_it_keeps():
+    from wordpower import MU
+
+    # The rounds as the construction states them, padding 0^(r-2) in full.
+    params = beta_params(Fraction(1000), 6)
+    word = "00"
+    while len(word) < 300:
+        word = MU.iterate("0" * (params.r - 2) + word, params.s)[params.t :]
+    assert beta_word(params, 300) == word[:300]
+    # Here 0^(r-2) in full would not fit in memory, nor its length in an index.
+    assert beta_word(beta_params(Fraction(10**20, 3), 3), 5) == "00101"
+
+
 def test_beta_word_carries_powers_at_both_scales():
     from wordpower import list_repetitions
 

@@ -7,9 +7,9 @@
   {0, 1}, the integer-only LCE, and smallest_period, all against
   tests/oracles.py.
 * The power-free words that verify grows letter by letter
-  (``_power_free_words``) against is_power_free, the end-of-word test
-  behind them against the oracles, and find_power's early exit against
-  the oracles and the full scan.
+  (``_free_words``) against is_power_free, the end-of-word test behind
+  them (``_end_test``) against the oracles, and find_power's early exit
+  against the oracles and the full scan.
 * A memory guard, smallest_period in linear time on 0^m 1, and the
   queries at the 2^20-letter cap.
 """
@@ -36,7 +36,7 @@ from wordpower import (
     word_t,
 )
 from wordpower import repetition
-from wordpower.repetition import _end_lengths, _ends_in_power, _power_free_words, _windows
+from wordpower.repetition import _end_test, _free_words, _windows
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(19, 8), Fraction(5, 2), Fraction(3)]
 SEVEN_THIRDS = Fraction(7, 3)
@@ -269,7 +269,9 @@ ENUMERATED = [(Fraction(2), True), (SEVEN_THIRDS, False), (Fraction(5, 2), False
 
 @pytest.mark.parametrize("threshold, plus", ENUMERATED, ids=["2+", "7/3", "5/2"])
 def test_power_free_words_match_is_power_free(threshold, plus):
-    free = _power_free_words(threshold, plus, 24)
+    free = [[] for _ in range(25)]
+    for w in _free_words("", threshold, plus, 24):
+        free[len(w)].append(w)
     # Up to 12 letters: the is_power_free filter over every word.
     filtered = [[] for _ in range(13)]
     for w in oracles.all_binary_words(12):
@@ -284,10 +286,10 @@ def test_power_free_words_match_is_power_free(threshold, plus):
 
 
 def test_ends_in_power_matches_maximal_occurrences():
-    lengths = _end_lengths(SEVEN_THIRDS, False, 12)
+    ends_in_power = _end_test(SEVEN_THIRDS, False)
     for w in oracles.all_binary_words(12):
         ending = any(start + length == len(w) for start, _, length in oracles.maximal_occurrences(w, SEVEN_THIRDS))
-        assert _ends_in_power(w, lengths) == ending, w
+        assert ends_in_power(w) == ending, w
 
 
 def test_ends_in_power_sees_periods_beyond_one_chunk():
@@ -295,12 +297,11 @@ def test_ends_in_power_sees_periods_beyond_one_chunk():
     # the _CHUNK = 4096 periods that one _spacings call covers.
     x = word_t(1 << 14)[5:5005]
     word = x + x + x[0]
-    lengths = _end_lengths(2, True, len(word))
-    assert len(lengths) > repetition._CHUNK
     ending = [occ for occ in list_repetitions(word, 2, strict=True) if occ.end == len(word)]
     assert [(occ.start, occ.period) for occ in ending] == [(0, 5000)]
-    assert _ends_in_power(word, lengths)
-    assert not _ends_in_power(word[:-1], lengths)
+    ends_in_overlap = _end_test(2, True)
+    assert ends_in_overlap(word)
+    assert not ends_in_overlap(word[:-1])
 
 
 def early_exit_words():
