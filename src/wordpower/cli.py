@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from .constructions import _GENERATOR_NAMES, BetaSearchError, _is_generator_name, beta_params, generator
 from .exponents import format_exponent, format_exponent_spec, parse_exponent, parse_exponent_spec
 from .morphism import factorize
-from .words import DEFAULT_CAP, CapExceeded, check_cap, parse_word
+from .words import DEFAULT_CAP, CapExceeded, WordFormatError, check_cap, parse_word
 
 # The modules that scan (repetition, atlas, verify) load numpy, so each
 # command imports them only once its arguments are checked: `gen`, `beta`,
@@ -96,9 +96,13 @@ def _read_word_argument(arg: str, cap: int) -> str:
             text = handle.read(cap + _LINE_BREAK_BYTES + 1)
             if len(text) > cap + _LINE_BREAK_BYTES:
                 raise CapExceeded(f"word file {path!r} holds more than {cap} letters, cap is {cap}")
-            word = parse_word(text.decode("ascii").strip())
+            # Latin-1 decodes each byte to one character, so that a foreign
+            # byte is reported like any foreign letter, at its index.
+            word = parse_word(text.strip().decode("latin-1"))
     except OSError as exc:
         raise _UsageError(f"cannot read word file {path!r}: {exc}") from None
+    except WordFormatError as exc:
+        raise _UsageError(f"word file {path!r}: {exc}") from None
     check_cap(len(word), cap)
     return word
 

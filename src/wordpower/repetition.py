@@ -22,12 +22,17 @@ costs meet) are scanned directly, which keeps words of up to about 64
 letters on the plain per-period scan.  Thresholds stay exact ``Fraction``
 values: need(p) is integer arithmetic and the LCE counts letters with a
 de Bruijn table, never floats.
+
+:func:`_free_words` grows the words free of a threshold letter by letter.
+Its end test, whether a power ends at the new letter, is a step of a few
+big-int operations on the run deficits need(p) - run(p) of every period,
+packed one bit field a period and carried down its stack; the start
+word's runs come from one backward LCE pass.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -349,32 +354,42 @@ def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> b
     return not any(starts.size for starts, _, _ in _runs(word, lambda: thr, plus))
 
 
-def _end_test(threshold: Fraction | int, plus: bool) -> Callable[[str], bool]:
-    """The closure ``ends_in_power(word)``: whether a power that meets the
-    threshold ends at the last letter of ``word``, that is whether for some
-    p its suffix of p + need(p) letters (need(p) as in :func:`_spacings`)
-    has period p.  A power in a word that its prefix lacks ends there, so
-    this is the freeness test of a word grown by one letter.  The closure's
-    table of p + need(p), nondecreasing in p, grows in place to cover twice
-    the longest word asked about: it follows the depth a search reaches,
-    never its cap."""
-    thr, lengths, covered = _as_threshold(threshold), [], 0
+def _needs(thr: Fraction, strict: bool, count: int, limit: int) -> np.ndarray:
+    """need(p) for p = 1 .. count, as :func:`_spacings` gives it for words
+    of ``limit`` letters: at least 1 and at most limit + 1, and limit + 1
+    at the periods past those it returns, whose powers exceed ``limit``
+    letters."""
+    out, first = np.full(count, limit + 1, np.int64), 1
+    while first <= count and (spacing := _spacings(thr, strict, first, limit)).size:
+        out[first - 1 : first - 1 + spacing.size] = spacing[: count - first + 1]
+        first += spacing.size
+    return out
 
-    def ends_in_power(word: str) -> bool:
-        nonlocal covered
-        n = len(word)
-        if n > covered:
-            covered = 2 * n
-            while (spacing := _spacings(thr, plus, len(lengths) + 1, covered)).size:
-                lengths.extend((spacing + np.arange(1, spacing.size + 1) + len(lengths)).tolist())
-        # A loop, not any() over a generator: this runs on every node of a
-        # search, and the generator costs about a quarter more.
-        for p, m in zip(range(1, bisect_right(lengths, n) + 1), lengths):
-            if word[n - m : n - p] == word[n - m + p :]:
-                return True
-        return False
 
-    return ends_in_power
+def _end_runs(word: str) -> np.ndarray:
+    """run(p) for p = 1 .. n: how many of the last letters of ``word``
+    equal the letter p positions before them, so that its suffix of
+    p + run(p) letters has period p (run(n) = 0).  One backward LCE
+    query a period, all in one pass."""
+    n = len(word)
+    periods = np.arange(1, n + 1, dtype=np.int64)
+    return _windows(word)[1].lce(np.zeros(n, np.int64), periods, n - periods)
+
+
+def _ends_in_power(word: str, threshold: Fraction | int, plus: bool) -> bool:
+    """Whether a power that meets the threshold ends at the last letter of
+    ``word``: whether some run(p) reaches need(p).  A power in a word that
+    its prefix lacks ends there."""
+    n = len(word)
+    return bool((_end_runs(word) >= _needs(_as_threshold(threshold), plus, n, n)).any())
+
+
+def _pack(values: np.ndarray, width: int) -> int:
+    """The int whose ``width``-bit field i holds values[i] (0 <= values[i]
+    < 2**width <= 2**64)."""
+    octets = values.astype("<u8").view(np.uint8).reshape(-1, 8)[:, : -(-width // 8)]
+    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :width]
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _free_words(word: str, threshold: Fraction | int, plus: bool, max_length: int) -> Iterator[str]:
@@ -382,15 +397,44 @@ def _free_words(word: str, threshold: Fraction | int, plus: bool, max_length: in
     ``max_length`` letters with ``is_power_free(w, threshold, plus)``,
     depth first, each length in lexicographic order.  Every prefix of a
     free word is free, so the words grow letter by letter, keeping w + a
-    when no power ends at its last letter."""
-    ends_in_power, stack = _end_test(threshold, plus), [word]
+    when no power ends at its last letter.
+
+    That end test is a few big-int operations on two ints carried with
+    each word w of n letters, one ``width``-bit field a period p <= n:
+    field p - 1 of ``codes`` holds w[n - p] (1 for "1", 2 for "0"), and
+    field p - 1 of ``deficits`` holds guard + need(p) - run(p) - 1, with
+    run(p) as in :func:`_end_runs`.  The fields where a equals w[n - p]
+    are the periods whose run grows; the others drop to run 0.  A power
+    ends at the new letter exactly when a growing field had deficit 1, so
+    subtracting 1 from the growing fields clears its guard bit; every
+    field of a free word holds its guard, so no borrow crosses a field.
+    The start word's runs come from backward LCE; the need table, clamped
+    to max_length + 1 so that the fields stay ``width`` bits, covers twice
+    the longest word reached: it follows the depth a search reaches,
+    never its cap."""
+    thr, n = _as_threshold(threshold), len(word)
+    # No word reaches 2**61 letters: the clamp keeps the fields in int64.
+    limit = min(max_length, 1 << 61)
+    width = limit.bit_length() + 1
+    guard = 1 << (width - 1)
+    letters = _letters(word[::-1])
+    codes = _pack((letters == ord("1")) + 2 * (letters == ord("0")), width)
+    deficits = _pack(guard - 1 + _needs(thr, plus, n, limit) - _end_runs(word), width)
+    stack, covered = [(word, codes, deficits)], 0
     while stack:
-        current = stack.pop()
+        current, codes, deficits = stack.pop()
         yield current
-        if len(current) < max_length:
-            for grown in (current + "1", current + "0"):  # 1 first, so 0 comes out first
-                if not ends_in_power(grown):
-                    stack.append(grown)
+        if (n := len(current)) < max_length:
+            if n >= covered:
+                covered = 2 * (n + 1)
+                ones = _pack(np.ones(covered, np.int64), width)
+                fresh = _pack(guard - 1 + _needs(thr, plus, covered, limit), width)
+            # 1 first, so 0 comes out first.
+            for letter, code, grows in (("1", 1, codes & ones), ("0", 2, codes >> 1 & ones)):
+                full = (grows << width) - grows
+                kept = (deficits & full) - grows
+                if kept >> (width - 1) & grows == grows:
+                    stack.append((current + letter, codes << width | code, kept | fresh & ~full))
 
 
 def list_repetitions(

@@ -37,7 +37,7 @@ from .constructions import (
     word_t,
 )
 from .morphism import F, G, H, MU, descend_power, factorize
-from .repetition import _end_test, _free_words, is_power_free, list_repetitions, max_exponent
+from .repetition import _ends_in_power, _free_words, is_power_free, list_repetitions, max_exponent
 from .words import conjugates, enumerate_words
 
 SEVEN_THIRDS = Fraction(7, 3)
@@ -292,14 +292,13 @@ def _check_bit_steered_family() -> tuple[bool, str]:
     and a trailing 1 bit plants an overlap at the end."""
     bit_strings = _all_words(4)
     planted = [g_b(bits + "1", "00") for bits in bit_strings]
-    ends_in_overlap = _end_test(2, True)
     for bits, word in zip(bit_strings, planted):
         if not is_power_free(g_b(bits, "00"), SEVEN_THIRDS):
             return False, f"g_{bits or 'e'}(00) is not 7/3-power-free"
         left, right = g_b(bits + "0", "0"), g_b(bits + "1", "0")
         if left.startswith(right) or right.startswith(left):
             return False, f"prefix incompatibility fails after {bits!r}"
-        if not ends_in_overlap(word):
+        if not _ends_in_power(word, 2, True):
             return False, f"g_{bits + '1'}(00) does not end with an overlap"
     return True, f"{len(bit_strings)} bit strings checked"
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from wordpower import (
     squares_in,
     word_t,
 )
+from wordpower.repetition import _free_words
 from wordpower.words import DEFAULT_CAP
 
 binary_words = st.text(alphabet="01", max_size=30)
@@ -141,33 +143,32 @@ def test_max_overlap_free_extension_preconditions():
         max_overlap_free_extension("0110", 2)  # cap below the word
 
 
-def test_ends_in_power_matches_letter_loop(monkeypatch):
-    from wordpower import repetition, verify
+def naive_free_words(word, max_length):
+    """Depth first, 1 pushed before 0, keeping w + a when the letter loop
+    of the oracle sees no overlap end at its last letter."""
+    found, stack = [], [word]
+    while stack:
+        found.append(current := stack.pop())
+        if len(current) < max_length:
+            stack += [w for w in (current + "1", current + "0") if not oracles.appending_creates_overlap(w)]
+    return found
 
-    make, records = repetition._end_test, []
 
-    def recording(threshold, plus):
-        ends_in_power, answers = make(threshold, plus), []
-        records.append(answers)
-
-        def record(word):
-            answers.append((word, ends_in_power(word)))
-            return answers[-1][1]
-
-        return record
-
-    monkeypatch.setattr(repetition, "_end_test", recording)
-    assert verify.run_suite("main").passed
-    # One closure grows the squares of up to 16 letters, then one serves
-    # each search.  Each candidate is checked with the table its closure
-    # held for it, which grows with the depth reached.
-    assert len(records[0]) == 986
-    assert sum(map(len, records[1:])) == 12928
-    fresh = make(2, True)
-    records.append([(w, fresh(w)) for w in oracles.all_binary_words(14)])
-    for answers in records:
-        for word, ends in answers:
-            assert ends == oracles.appending_creates_overlap(word), word
+def test_ends_in_power_matches_letter_loop():
+    # The grower's packed end test against the oracle's letter loop: from
+    # every overlap-free square of up to 16 letters (the squares main
+    # searches from), and from the empty word.
+    squares = [
+        w
+        for w in oracles.all_binary_words(16)
+        if w and w[: len(w) // 2] * 2 == w and oracles.is_power_free(w, 2, plus=True)
+    ]
+    assert len(squares) == 34
+    # One word more than expected is enough to fail: a grower that keeps
+    # too many words would otherwise run for as long as it finds them.
+    for start, max_length in [(square, 40) for square in squares] + [("", 14)]:
+        expected = naive_free_words(start, max_length)
+        assert list(islice(_free_words(start, 2, True, max_length), len(expected) + 1)) == expected, start
 
 
 def test_extension_table_follows_the_depth_reached_not_the_cap():

@@ -138,6 +138,15 @@ def test_word_file_input(capsys, tmp_path):
     assert code == 2
 
 
+def test_word_file_with_a_foreign_byte(capsys, tmp_path):
+    # Reported like any foreign letter, with its index and the file.
+    path = tmp_path / "word.txt"
+    path.write_bytes(b"0110\xab1\n")
+    code, out, err = run_cli(capsys, "check", f"@{path}", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: word file {str(path)!r}: invalid character '\xab' at index 4; expected one of '01'\n"
+
+
 def test_squares_of_generator(capsys):
     code, out, _ = run_cli(capsys, "--json", "squares", "t", "8")
     assert code == 0

@@ -7,8 +7,9 @@
   {0, 1}, the integer-only LCE, and smallest_period, all against
   tests/oracles.py.
 * The power-free words that verify grows letter by letter
-  (``_free_words``) against is_power_free, the end-of-word test behind
-  them (``_end_test``) against the oracles, and find_power's early exit
+  (``_free_words``) against is_power_free, at periods past one chunk and
+  from a long start word; the one-shot end-of-word test
+  (``_ends_in_power``) against the oracles; and find_power's early exit
   against the oracles and the full scan.
 * A memory guard, smallest_period in linear time on 0^m 1, and the
   queries at the 2^20-letter cap.
@@ -36,7 +37,8 @@ from wordpower import (
     word_t,
 )
 from wordpower import repetition
-from wordpower.repetition import _end_test, _free_words, _windows
+from wordpower.atlas import max_overlap_free_extension
+from wordpower.repetition import _ends_in_power, _free_words, _windows
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(19, 8), Fraction(5, 2), Fraction(3)]
 SEVEN_THIRDS = Fraction(7, 3)
@@ -264,10 +266,17 @@ def test_smallest_period_is_linear_time_at_2_17():
 
 # --- growing power-free words letter by letter, and find_power's early exit ---
 
-ENUMERATED = [(Fraction(2), True), (SEVEN_THIRDS, False), (Fraction(5, 2), False)]
+# Strict thresholds with a large denominator exercise the packed need table.
+ENUMERATED = [
+    (Fraction(2), True),
+    (SEVEN_THIRDS, False),
+    (Fraction(5, 2), False),
+    (Fraction(19, 8), True),
+    (Fraction(11, 5), True),
+]
 
 
-@pytest.mark.parametrize("threshold, plus", ENUMERATED, ids=["2+", "7/3", "5/2"])
+@pytest.mark.parametrize("threshold, plus", ENUMERATED, ids=["2+", "7/3", "5/2", "19/8+", "11/5+"])
 def test_power_free_words_match_is_power_free(threshold, plus):
     free = [[] for _ in range(25)]
     for w in _free_words("", threshold, plus, 24):
@@ -286,10 +295,9 @@ def test_power_free_words_match_is_power_free(threshold, plus):
 
 
 def test_ends_in_power_matches_maximal_occurrences():
-    ends_in_power = _end_test(SEVEN_THIRDS, False)
     for w in oracles.all_binary_words(12):
         ending = any(start + length == len(w) for start, _, length in oracles.maximal_occurrences(w, SEVEN_THIRDS))
-        assert ends_in_power(w) == ending, w
+        assert _ends_in_power(w, SEVEN_THIRDS, False) == ending, w
 
 
 def test_ends_in_power_sees_periods_beyond_one_chunk():
@@ -299,9 +307,29 @@ def test_ends_in_power_sees_periods_beyond_one_chunk():
     word = x + x + x[0]
     ending = [occ for occ in list_repetitions(word, 2, strict=True) if occ.end == len(word)]
     assert [(occ.start, occ.period) for occ in ending] == [(0, 5000)]
-    ends_in_overlap = _end_test(2, True)
-    assert ends_in_overlap(word)
-    assert not ends_in_overlap(word[:-1])
+    assert _ends_in_power(word, 2, True)
+    assert not _ends_in_power(word[:-1], 2, True)
+    # The grower from a free start: the prefix of t that ends with the
+    # square mu^11(010010), 6144 letters a half, at 15 * 2^11.  Appending
+    # the first letter of the half makes an overlap of period 6144 and of
+    # no other, so only t's own next letter is kept.
+    t = word_t(1 << 16)
+    start = t[: 15 * 2048 + 2 * 6144]
+    overlap = start + start[-6144]
+    ending = [occ for occ in list_repetitions(overlap, 2, strict=True) if occ.end == len(overlap)]
+    assert [(occ.start, occ.period) for occ in ending] == [(15 * 2048, 6144)]
+    grown = list(_free_words(start, 2, True, len(start) + 1))
+    assert overlap not in grown
+    assert grown == [start, t[: len(start) + 1]]
+
+
+def test_extension_from_a_long_start_is_not_quadratic():
+    # The grower's state for the start word comes from one backward LCE
+    # pass; folding it in letter by letter would be quadratic in its length.
+    word = word_t(1 << 16)
+    start = time.perf_counter()
+    assert max_overlap_free_extension(word, (1 << 16) + 8) == (1 << 16) + 8
+    assert time.perf_counter() - start < 2.0
 
 
 def early_exit_words():
