@@ -26,7 +26,7 @@ import numpy as np
 
 from .morphism import MU
 from .repetition import _free_words, _gather, _runs, is_power_free
-from .words import DEFAULT_CAP, complement
+from .words import complement
 
 FAMILY_A_BASES = ("00", "11", "010010", "101101")
 FAMILY_B_BASES = ("001001", "110110")
@@ -87,20 +87,15 @@ def atlas_membership(word: str) -> AtlasMembership:
 
 
 def atlas_members(max_length: int, families: str = "AB") -> list[str]:
-    """Every atlas square of length <= max_length, by forward iteration
-    of the base sets.  Must agree with :func:`atlas_membership`."""
-    bases: list[str] = []
-    if "A" in families:
-        bases.extend(FAMILY_A_BASES)
-    if "B" in families:
-        bases.extend(FAMILY_B_BASES)
-    out = []
-    for base in bases:
-        word = base
-        while len(word) <= max_length:
-            out.append(word)
-            word = MU.apply(word)
-    return sorted(out, key=lambda w: (len(w), w))
+    """Every atlas square of length <= max_length whose family is named
+    in ``families``, sorted by length, then lexicographically: the squares
+    xx of the halves x that :func:`_atlas_halves` lists for each length."""
+    return [
+        half + half
+        for half_length in range(1, max_length // 2 + 1)
+        for half, membership in sorted(_atlas_halves(half_length).items())
+        if membership.family in families
+    ]
 
 
 def squares_in(word: str) -> list[tuple[int, str]]:
@@ -194,13 +189,13 @@ def max_overlap_free_extension(word: str, cap: int) -> int:
     return best
 
 
-def check_extension_lemma(k: int, cap: int = DEFAULT_CAP) -> bool:
+def check_extension_lemma(k: int) -> bool:
     """Whether both one-letter extensions of the k-th Thue-Morse images
     of 011011 and 100100 contain an overlap (all four must)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     for seed in ("011011", "100100"):
-        image = MU.iterate(seed, k, cap=cap)
+        image = MU.iterate(seed, k)
         for letter in "01":
             if is_power_free(image + letter, 2, plus=True):
                 return False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .words import DEFAULT_CAP, check_cap, limit_prefix
+from .words import DEFAULT_CAP, check_cap, complement, limit_prefix
 
 if TYPE_CHECKING:
     from .repetition import PowerOccurrence
@@ -46,8 +46,6 @@ class Morphism:
         """Concatenate the images of the letters of ``word`` in order."""
         self._check_domain(word)
         return word.translate(self._table)
-
-    __call__ = apply
 
     def image_length(self, word: str) -> int:
         """Length of ``apply(word)`` without materializing it."""
@@ -94,23 +92,17 @@ G = Morphism({"0": "0", "1": "0", "2": "0", "3": "1", "4": "1"})
 F = Morphism({"0": "1342", "1": "1342", "2": "2342", "3": "3213", "4": "4213"})
 
 
-_MU_BLOCKS = {"01": "0", "10": "1"}
-
-
 def mu_decode(word: str) -> str | None:
     """Invert the Thue-Morse morphism, or None when ``word`` is not an image.
 
-    Succeeds exactly when the length is even and every 2-block is 01 or 10.
+    Succeeds exactly when the length is even and every 2-block is 01 or 10:
+    the letters at even positions are binary, and each letter at an odd
+    position is the complement of the one before it.
     """
-    if len(word) % 2:
+    decoded = word[0::2]
+    if len(word) % 2 or decoded.strip("01") or word[1::2] != complement(decoded):
         return None
-    letters = []
-    for i in range(0, len(word), 2):
-        letter = _MU_BLOCKS.get(word[i : i + 2])
-        if letter is None:
-            return None
-        letters.append(letter)
-    return "".join(letters)
+    return decoded
 
 
 def descend_power(word: str, occurrence: PowerOccurrence) -> PowerOccurrence:

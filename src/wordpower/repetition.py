@@ -66,10 +66,7 @@ class PowerOccurrence:
             return False
         if self.end > len(word):
             return False
-        return all(
-            word[i] == word[i + self.period]
-            for i in range(self.start, self.end - self.period)
-        )
+        return word[self.start : self.end - self.period] == word[self.start + self.period : self.end]
 
 
 # Periods of checkpoint spacing d below this are compared with the shifted
@@ -99,21 +96,20 @@ def _as_threshold(value: Fraction | int) -> Fraction:
     return threshold
 
 
-def _spacings(thr: Fraction, strict: bool, first: int, n: int) -> np.ndarray:
-    """d = max(need(p), 1), clamped to n + 1, for the periods p >= first
-    with p + d <= n (at most _CHUNK of them): need(p) is the least
-    m with (p + m) / p above (strict) or at the threshold, computed in
-    int64 when the products fit and in Python integers when not."""
+def _need(thr: Fraction, strict: bool, first: int, stop: int, limit: int) -> np.ndarray:
+    """need(p) for the periods first <= p < stop, as int64: the least m
+    with (p + m) / p above (strict) or at the threshold, at least 1 and at
+    most limit + 1.  Computed in int64 when the largest product fits and
+    in Python integers when not."""
     excess, den = thr.numerator - thr.denominator, thr.denominator
-    periods = np.arange(first, min(first + _CHUNK, n), dtype=np.int64)
-    wide = excess * n >= 1 << 62 or den >= 1 << 62
+    periods = np.arange(first, stop, dtype=np.int64)
+    wide = excess * stop >= 1 << 62 or den >= 1 << 62
     scaled = (periods.astype(object) if wide else periods) * excess
-    # Array methods and bare ufuncs: this runs for every query, and on short
-    # words the Python wrappers of np.clip and np.searchsorted cost more
+    # Array methods and bare ufuncs: this runs for every chunk of every
+    # query, and on short words the Python wrapper of np.clip costs more
     # than the arithmetic.
-    need = np.minimum(np.maximum(scaled // den + 1 if strict else -(-scaled // den), 1), n + 1)
-    need = need.astype(np.int64, copy=False)
-    return need[: (periods + need).searchsorted(n, side="right")]
+    need = np.minimum(np.maximum(scaled // den + 1 if strict else -(-scaled // den), 1), limit + 1)
+    return need.astype(np.int64, copy=False)
 
 
 class _Windows:
@@ -219,7 +215,9 @@ def _runs(
     padded = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8)
     index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
     while p < n:
-        spacing = _spacings(threshold(), strict, p, n)
+        spacing = _need(threshold(), strict, p, min(p + _CHUNK, n), n)
+        # The periods whose runs fit in the word: p + d <= n.
+        spacing = spacing[: (spacing + np.arange(p, p + spacing.size)).searchsorted(n, side="right")]
         if not spacing.size:
             return
         bound = n if last_start is None else last_start()
@@ -354,18 +352,6 @@ def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> b
     return not any(starts.size for starts, _, _ in _runs(word, lambda: thr, plus))
 
 
-def _needs(thr: Fraction, strict: bool, count: int, limit: int) -> np.ndarray:
-    """need(p) for p = 1 .. count, as :func:`_spacings` gives it for words
-    of ``limit`` letters: at least 1 and at most limit + 1, and limit + 1
-    at the periods past those it returns, whose powers exceed ``limit``
-    letters."""
-    out, first = np.full(count, limit + 1, np.int64), 1
-    while first <= count and (spacing := _spacings(thr, strict, first, limit)).size:
-        out[first - 1 : first - 1 + spacing.size] = spacing[: count - first + 1]
-        first += spacing.size
-    return out
-
-
 def _end_runs(word: str) -> np.ndarray:
     """run(p) for p = 1 .. n: how many of the last letters of ``word``
     equal the letter p positions before them, so that its suffix of
@@ -381,7 +367,7 @@ def _ends_in_power(word: str, threshold: Fraction | int, plus: bool) -> bool:
     ``word``: whether some run(p) reaches need(p).  A power in a word that
     its prefix lacks ends there."""
     n = len(word)
-    return bool((_end_runs(word) >= _needs(_as_threshold(threshold), plus, n, n)).any())
+    return bool((_end_runs(word) >= _need(_as_threshold(threshold), plus, 1, n + 1, n)).any())
 
 
 def _pack(values: np.ndarray, width: int) -> int:
@@ -419,7 +405,7 @@ def _free_words(word: str, threshold: Fraction | int, plus: bool, max_length: in
     guard = 1 << (width - 1)
     letters = _letters(word[::-1])
     codes = _pack((letters == ord("1")) + 2 * (letters == ord("0")), width)
-    deficits = _pack(guard - 1 + _needs(thr, plus, n, limit) - _end_runs(word), width)
+    deficits = _pack(guard - 1 + _need(thr, plus, 1, n + 1, limit) - _end_runs(word), width)
     stack, covered = [(word, codes, deficits)], 0
     while stack:
         current, codes, deficits = stack.pop()
@@ -428,7 +414,7 @@ def _free_words(word: str, threshold: Fraction | int, plus: bool, max_length: in
             if n >= covered:
                 covered = 2 * (n + 1)
                 ones = _pack(np.ones(covered, np.int64), width)
-                fresh = _pack(guard - 1 + _needs(thr, plus, covered, limit), width)
+                fresh = _pack(guard - 1 + _need(thr, plus, 1, covered + 1, limit), width)
             # 1 first, so 0 comes out first.
             for letter, code, grows in (("1", 1, codes & ones), ("0", 2, codes >> 1 & ones)):
                 full = (grows << width) - grows

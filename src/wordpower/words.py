@@ -1,10 +1,7 @@
 """Binary words as plain strings over the alphabet {0, 1}.
 
 Words are immutable values; every operation returns a new string.  The
-external format is one ASCII character per letter, no separators.  A
-five-letter alphabet {0,...,4} appears as an intermediate coding alphabet
-for some morphisms; the same helpers accept it via the ``alphabet``
-argument.
+external format is one ASCII character per letter, no separators.
 """
 
 from __future__ import annotations
@@ -19,14 +16,14 @@ DEFAULT_CAP = 1 << 20
 
 
 class WordFormatError(ValueError):
-    """A word contained a character outside its alphabet."""
+    """A word contained a character other than 0 and 1."""
 
-    def __init__(self, text: str, position: int, alphabet: str = BINARY_ALPHABET):
+    def __init__(self, text: str, position: int):
         self.position = position
         self.character = text[position]
         super().__init__(
             f"invalid character {self.character!r} at index {position}; "
-            f"expected one of {alphabet!r}"
+            f"expected one of {BINARY_ALPHABET!r}"
         )
 
 
@@ -60,13 +57,13 @@ def limit_prefix(seed: str, step: Callable[[str], str], n: int, cap: int) -> str
     return word[:n]
 
 
-def parse_word(text: str, alphabet: str = BINARY_ALPHABET) -> str:
-    """Validate ``text`` as a word over ``alphabet`` and return it."""
+def parse_word(text: str) -> str:
+    """Validate ``text`` as a binary word and return it."""
     # One pass deletes the letters of the alphabet; what is left starts
     # with the first invalid character.
-    foreign = text.translate(dict.fromkeys(map(ord, alphabet)))
+    foreign = text.translate(dict.fromkeys(map(ord, BINARY_ALPHABET)))
     if foreign:
-        raise WordFormatError(text, text.index(foreign[0]), alphabet)
+        raise WordFormatError(text, text.index(foreign[0]))
     return text
 
 
@@ -85,16 +82,8 @@ def conjugates(word: str) -> set[str]:
     return {word[i:] + word[:i] for i in range(len(word))}
 
 
-def enumerate_words(
-    length: int,
-    predicate: Callable[[str], bool] | None = None,
-    alphabet: str = BINARY_ALPHABET,
-) -> Iterator[str]:
-    """Yield every word of ``length`` over ``alphabet`` that satisfies
-    ``predicate`` (all words when it is None), in lexicographic order."""
+def enumerate_words(length: int) -> Iterator[str]:
+    """Yield every binary word of ``length``, in lexicographic order."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    for letters in product(alphabet, repeat=length):
-        word = "".join(letters)
-        if predicate is None or predicate(word):
-            yield word
+    return map("".join, product(BINARY_ALPHABET, repeat=length))

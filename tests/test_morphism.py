@@ -95,6 +95,9 @@ def test_mu_decode_examples():
     assert mu_decode(mu_decode("01100110")) == "00"
     assert mu_decode("") == ""
     assert mu_decode("011") is None
+    # Only binary letters decode, however the blocks pair up.
+    for word in ("2222", "0220", "2020", "0120", "01a0"):
+        assert mu_decode(word) is None, word
 
 
 @given(binary_words)

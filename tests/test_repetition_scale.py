@@ -168,6 +168,30 @@ def test_thresholds_beyond_int64_match_their_neighbours(word):
 
 @pytest.mark.parametrize(
     "threshold",
+    [Fraction(1), Fraction(3, 2), Fraction(2), SEVEN_THIRDS, Fraction(2) + EPSILON, SEVEN_THIRDS - EPSILON,
+     Fraction(2**57 + 1), Fraction(1 - (-(2**62) // 41)), Fraction(10**20, 3)],
+    ids=["1", "3/2", "2", "7/3", "2+2^-69", "7/3-2^-69", "2^57+1", "2^62/41+1", "1e20/3"],
+)
+def test_need_is_the_least_run_that_meets_the_threshold(threshold):
+    # need(p) against the least m with (p + m) / p at (or above) the
+    # threshold, found by counting up; past the limit it is limit + 1,
+    # also at the periods past the limit that the grower asks for.  At
+    # 2^62/41 + 1 only those periods, up to 2 * limit + 2, make products
+    # past int64.
+    limit = 40
+    for strict in (False, True):
+        for first, stop in ((1, 2 * limit + 3), (17, 61), (5, 5)):
+            expected = []
+            for p in range(first, stop):
+                meets_at = (lambda m: p + m > threshold * p) if strict else (lambda m: p + m >= threshold * p)
+                expected.append(next((max(m, 1) for m in range(limit + 1) if meets_at(m)), limit + 1))
+            got = repetition._need(threshold, strict, first, stop, limit)
+            assert got.dtype == np.int64
+            assert got.tolist() == expected, (strict, first, stop)
+
+
+@pytest.mark.parametrize(
+    "threshold",
     [Fraction(10**30 + 1, 10**30), Fraction(10**20, 3), Fraction(2) + EPSILON, Fraction(3, 2) - EPSILON],
     ids=["1+1e-30", "1e20/3", "2+2^-69", "3/2-2^-69"],
 )
@@ -273,10 +297,15 @@ ENUMERATED = [
     (Fraction(5, 2), False),
     (Fraction(19, 8), True),
     (Fraction(11, 5), True),
+    # Denominators past int64: the need table in Python integers.
+    (Fraction(2) + EPSILON, True),
+    (SEVEN_THIRDS - EPSILON, False),
 ]
 
 
-@pytest.mark.parametrize("threshold, plus", ENUMERATED, ids=["2+", "7/3", "5/2", "19/8+", "11/5+"])
+@pytest.mark.parametrize(
+    "threshold, plus", ENUMERATED, ids=["2+", "7/3", "5/2", "19/8+", "11/5+", "2+2^-69+", "7/3-2^-69"]
+)
 def test_power_free_words_match_is_power_free(threshold, plus):
     free = [[] for _ in range(25)]
     for w in _free_words("", threshold, plus, 24):
@@ -302,7 +331,7 @@ def test_ends_in_power_matches_maximal_occurrences():
 
 def test_ends_in_power_sees_periods_beyond_one_chunk():
     # The only overlap that ends at the last letter has period 5000, above
-    # the _CHUNK = 4096 periods that one _spacings call covers.
+    # the _CHUNK = 4096 periods that one chunk of _runs covers.
     x = word_t(1 << 14)[5:5005]
     word = x + x + x[0]
     ending = [occ for occ in list_repetitions(word, 2, strict=True) if occ.end == len(word)]
