@@ -15,13 +15,16 @@ repetitions meeting a threshold at every period, primitive or not.  It
 places checkpoints every d = max(need(p), 1) positions of period p,
 need(p) being the least run length that meets the threshold, and extends
 each by exact longest-common-extension (LCE) queries on 64-bit windows of
-letter codes, so a scan costs O(sum over p of n / need(p)) LCE queries:
-O(n log n) for thresholds of 2 or more, against n comparisons per period
-for a direct scan.  Periods with d below ``_CROSSOVER`` (32, where the two
-costs meet) are scanned directly, which keeps words of up to about 64
-letters on the plain per-period scan.  Thresholds stay exact ``Fraction``
-values: need(p) is integer arithmetic and the LCE counts letters with a
-de Bruijn table, never floats.
+letter codes.  One window array holds the word followed by its reversal,
+so a backward LCE is a forward one in the reversal and each chunk of
+checkpoints sends both directions to the LCE as one batch.  A scan costs
+O(sum over p of n / need(p)) LCE queries: O(n log n) for thresholds of 2
+or more, against n comparisons per period for a direct scan.  Periods
+with d below ``_CROSSOVER`` (32, where the two costs meet) are scanned
+directly, which keeps words of up to about 64 letters on the plain
+per-period scan.  Thresholds stay exact ``Fraction`` values: need(p) is
+integer arithmetic and the LCE counts letters with a de Bruijn table,
+never floats.
 
 :func:`_free_words` grows the words free of a threshold letter by letter.
 Its end test, whether a power ends at the new letter, is a step of a few
@@ -114,17 +117,25 @@ def _need(thr: Fraction, strict: bool, first: int, stop: int, limit: int) -> np.
 
 class _Windows:
     """The 64-bit window of letter codes, ``bits`` bits a letter, that
-    starts at each position of a word (letters past its end read 0)."""
+    starts at each position of a word of n letters followed by its
+    reversal (from offset n).  Letters past 2n read 0; windows run across
+    the seam at n, and :meth:`lce` clips every count to its limit."""
 
     def __init__(self, codes: np.ndarray, bits: int):
         self.per, self.equal_letters = 64 // bits, _TRAILING_ZEROS // bits
-        self.windows = np.zeros(len(codes) + 1, np.uint64)
-        self.windows[:-1] = codes
+        size = 2 * len(codes)
+        self.windows = np.zeros(size + 1, np.uint64)
+        self.windows[: len(codes)] = codes
+        self.windows[len(codes) : size] = codes[::-1]
         for span in (1, 2, 4, 8, 16, 32)[: (64 // bits).bit_length() - 1]:
-            self.windows[:-span] |= self.windows[span:] << np.uint64(span * bits)
+            # Ascending blocks of 2^16 read only windows that no earlier
+            # block wrote, and keep the shifted copy block-sized.
+            for low in range(0, size + 1 - span, 1 << 16):
+                block = self.windows[low + span : low + span + (1 << 16)]
+                self.windows[low : low + block.size] |= block << np.uint64(span * bits)
 
     def _window(self, pos: np.ndarray) -> np.ndarray:
-        # Positions past n are clipped: they only ever lie beyond the limit.
+        # Positions past 2n are clipped: they only ever lie beyond the limit.
         return np.take(self.windows, pos, mode="clip")
 
     def _equal(self, diff: np.ndarray) -> np.ndarray:
@@ -134,12 +145,14 @@ class _Windows:
 
     def lce(self, a: np.ndarray, b: np.ndarray, limit: np.ndarray) -> np.ndarray:
         """For each i, the largest m <= limit[i] with letters a[i]..a[i]+m-1
-        equal to b[i]..b[i]+m-1; needs a[i] + limit[i] <= n and the same
-        for b.  Pairs equal over a whole window go on comparing twice as
-        many windows a round, up to _CHUNK windows a round in all."""
+        equal to b[i]..b[i]+m-1 of the word followed by its reversal; needs
+        a[i] + limit[i] <= 2n and the same for b.  Pairs equal over their
+        first window go on in rounds of _CHUNK windows in all, each live
+        pair comparing _CHUNK // (live pairs) windows a round."""
         out = self._equal(self._window(a) ^ self._window(b))
-        live, span = np.flatnonzero((out == self.per) & (limit > self.per)), 2
+        live = np.flatnonzero((out == self.per) & (limit > self.per))
         while live.size:
+            span = max(1, _CHUNK // live.size)
             offsets, start = np.arange(0, span * self.per, self.per), out[live]
             diff = self._window((a[live] + start)[:, None] + offsets)
             diff ^= self._window((b[live] + start)[:, None] + offsets)
@@ -148,17 +161,16 @@ class _Windows:
             gain = np.where(at_first == 0, span * self.per, offsets[first] + self._equal(at_first))
             out[live] = start + gain
             live = live[(at_first == 0) & (out[live] < limit[live])]
-            span = min(2 * span, max(1, _CHUNK // max(live.size, 1)))
         return np.minimum(out, limit)
 
 
-def _windows(word: str) -> tuple[_Windows, _Windows]:
-    """Windows of a word and of its reversal, letters coded by rank."""
+def _windows(word: str) -> _Windows:
+    """Windows of a word followed by its reversal, letters coded by rank."""
     arr = _letters(word)
     present = np.bincount(arr, minlength=256) > 0
     codes = (np.cumsum(present) - 1).astype(np.uint8)[arr]
     bits = next(b for b in (1, 2, 4, 8) if int(present.sum()) <= 1 << b)
-    return _Windows(codes, bits), _Windows(codes[::-1], bits)
+    return _Windows(codes, bits)
 
 
 def _direct(padded: np.ndarray, width: int, p: int, spacing: np.ndarray):
@@ -185,6 +197,29 @@ def _direct(padded: np.ndarray, width: int, p: int, spacing: np.ndarray):
     return lines[keep], starts[keep], lengths[keep]
 
 
+def _checkpoint_runs(windows: _Windows, n: int, per: np.ndarray, q: np.ndarray, d: np.ndarray):
+    """The runs that checkpoints q of periods ``per``, spaced d apart (d
+    not decreasing), find in a word of n letters, as int64 (starts,
+    periods, lengths).  One LCE batch holds both directions of every
+    checkpoint: backward from q in the word is forward from 2n - q."""
+    if d[0] >= 2 * windows.per - 1:
+        # A first window that differs both ways makes at most 2 per - 2
+        # letters: only checkpoints with a wholly equal first window one
+        # way or the other go on to the exact LCE.
+        window = windows._window
+        equal = (window(2 * n - q - per) == window(2 * n - q)) | (window(q) == window(q + per))
+        per, q, d = per[equal], q[equal], d[equal]
+    both = windows.lce(
+        np.concatenate((2 * n - q - per, q)),
+        np.concatenate((2 * n - q, q + per)),
+        np.concatenate((np.minimum(d, q), n - q - per)),
+    )
+    back, ahead = both[: q.size], both[q.size :]
+    found = (back < d) & (back + ahead >= d)
+    per, q, back, ahead = (x[found].astype(np.int64) for x in (per, q, back, ahead))
+    return q - back, per, per + back + ahead
+
+
 def _runs(
     word: str,
     threshold: Callable[[], Fraction],
@@ -209,15 +244,24 @@ def _runs(
     them, and exactly one, its first, extends backward by fewer than d
     letters; that checkpoint's backward and forward LCEs give the run's
     start and length.  A run starting at or before s therefore has its
-    first checkpoint below s + d.
+    first checkpoint below s + d.  Each chunk of up to _CHUNK checkpoints
+    goes to :func:`_checkpoint_runs` as one batch.  need(p) comes from a
+    table of 2 * _CHUNK periods, computed again only when ``threshold()``
+    changes or a chunk would run past the table.
     """
-    n, p, windows = len(word), 1, None
+    n, p, windows, table_thr, stop = len(word), 1, None, None, 0
     padded = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8)
     index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
     while p < n:
-        spacing = _need(threshold(), strict, p, min(p + _CHUNK, n), n)
+        thr = threshold()
+        if thr != table_thr or stop < min(p + _CHUNK, n):
+            # need(p) for two chunks of periods, and p + need(p).
+            table_thr, base, stop = thr, p, min(p + 2 * _CHUNK, n)
+            need = _need(thr, strict, base, stop, n)
+            ends = need + np.arange(base, stop)
         # The periods whose runs fit in the word: p + d <= n.
-        spacing = spacing[: (spacing + np.arange(p, p + spacing.size)).searchsorted(n, side="right")]
+        spacing = need[p - base : p - base + _CHUNK]
+        spacing = spacing[: ends[p - base : p - base + spacing.size].searchsorted(n, side="right")]
         if not spacing.size:
             return
         bound = n if last_start is None else last_start()
@@ -228,7 +272,7 @@ def _runs(
             periods = p + lines
             yield starts, periods, periods + lengths
         else:
-            forward, backward = windows = windows or _windows(word)
+            windows = windows or _windows(word)
             k = np.arange(len(spacing))
             counts = np.minimum(n - 1 - p - k, bound + spacing - 1) // spacing + 1
             rows = max(1, int(np.searchsorted(np.cumsum(counts), _CHUNK, side="right")))
@@ -236,12 +280,7 @@ def _runs(
             first = np.cumsum(counts[:rows]) - counts[:rows]
             q = (np.arange(len(k)) - first[k]) * spacing[k]
             per, q, d = (x.astype(index) for x in (p + k, q, spacing[k]))
-            back = backward.lce(n - q - per, n - q, np.minimum(d, q))
-            per, q, d, back = (x[back < d] for x in (per, q, d, back))
-            ahead = forward.lce(q, q + per, n - q - per)
-            found = back + ahead >= d
-            per, q, back, ahead = (x[found].astype(np.int64) for x in (per, q, back, ahead))
-            yield q - back, per, per + back + ahead
+            yield _checkpoint_runs(windows, n, per, q, d)
         p += rows
 
 
@@ -356,10 +395,11 @@ def _end_runs(word: str) -> np.ndarray:
     """run(p) for p = 1 .. n: how many of the last letters of ``word``
     equal the letter p positions before them, so that its suffix of
     p + run(p) letters has period p (run(n) = 0).  One backward LCE
-    query a period, all in one pass."""
+    query a period, all in one pass: forward in the reversal, which the
+    windows hold from offset n."""
     n = len(word)
     periods = np.arange(1, n + 1, dtype=np.int64)
-    return _windows(word)[1].lce(np.zeros(n, np.int64), periods, n - periods)
+    return _windows(word).lce(np.full(n, n, np.int64), n + periods, n - periods)
 
 
 def _ends_in_power(word: str, threshold: Fraction | int, plus: bool) -> bool:

@@ -4,15 +4,16 @@
   letters, where the checkpoint scan does the work (the Hypothesis
   strategies of test_repetition stop at 40 letters).
 * Exactness: thresholds whose need(p) overflows int64, alphabets beyond
-  {0, 1}, the integer-only LCE, and smallest_period, all against
-  tests/oracles.py.
+  {0, 1}, the integer-only LCE and its seam between a word and its
+  reversal, and smallest_period, all against tests/oracles.py; a run at
+  a period past the need table that a raised threshold starts.
 * The power-free words that verify grows letter by letter
   (``_free_words``) against is_power_free, at periods past one chunk and
   from a long start word; the one-shot end-of-word test
   (``_ends_in_power``) against the oracles; and find_power's early exit
   against the oracles and the full scan.
-* A memory guard, smallest_period in linear time on 0^m 1, and the
-  queries at the 2^20-letter cap.
+* Memory guards at 2^14 and 2^20 letters, smallest_period in linear
+  time on 0^m 1, and the queries at the 2^20-letter cap.
 """
 
 import random
@@ -145,6 +146,24 @@ def test_kernel_matches_per_period_scan(name):
     assert squares_in(word) == [(i, word[i : i + 2 * half]) for i, half in squares], name
 
 
+def test_max_exponent_at_a_period_past_two_chunks():
+    # A factor of t, x x of period 12288 = mu^12 of the square 011 011 at
+    # position 11 of t, then 4096 more letters of x.  The factor's squares
+    # raise the threshold to 2 at period 1; the winning run, 7/3 at period
+    # 12288, lies past the need table of 2 * _CHUNK = 8192 periods that
+    # the raised threshold starts.
+    t, start = word_t(1 << 17), 11 * 4096
+    x = t[start : start + 12288]
+    assert t[start : start + 2 * len(x)] == x + x
+    word = t[start - 1024 : start + 2 * len(x)] + x[:4096]
+    ref = PerPeriodScan(word, Fraction(2))
+    exp, occ = max_exponent(word)
+    assert (exp, as_tuple(occ)) == ref.top == (SEVEN_THIRDS, (1024, 12288, 28672))
+    for strict in (False, True):
+        assert as_tuple(find_power(word, exp, strict)) == next(iter(ref.repetitions(exp, strict)), None)
+    assert as_tuple(find_power(word, 2, strict=True)) == ref.repetitions(Fraction(2), True)[0]
+
+
 # --- exactness edge cases ---
 
 EPSILON = Fraction(1, 2**69)
@@ -243,22 +262,53 @@ def test_short_word_over_five_letters():
 @pytest.mark.parametrize("alphabet", ["01", "012", "0123456789", "".join(map(chr, range(33, 127)))])
 def test_lce_matches_letter_by_letter_count(alphabet):
     rng = random.Random(7)
-    # Periodic stretches give LCEs of hundreds of letters, so the doubling
+    # Periodic stretches give LCEs of hundreds of letters, so the extension
     # rounds run too.
     word = "".join(random_word(rng.randrange(1, 40), rng.random(), alphabet) * rng.randrange(1, 30) for _ in range(40))
     n = len(word)
-    forward, backward = _windows(word)
+    windows = _windows(word)
     a = np.array([rng.randrange(n) for _ in range(3000)])
     b = np.array([rng.randrange(n) for _ in range(3000)])
     limit = n - np.maximum(a, b)
-    reversed_word = word[::-1]
-    for windows, text in ((forward, word), (backward, reversed_word)):
-        got = windows.lce(a, b, limit)
+    # The word at i and its reversal at n + i.
+    for offset, text in ((0, word), (n, word[::-1])):
+        got = windows.lce(a + offset, b + offset, limit)
         for i, j, m, lce in zip(a.tolist(), b.tolist(), limit.tolist(), got.tolist()):
             expected = 0
             while expected < m and text[i + expected] == text[j + expected]:
                 expected += 1
-            assert lce == expected, (i, j)
+            assert lce == expected, (offset, i, j)
+
+
+def seam_words():
+    """Words that end in a palindrome, or whose reversal continues their
+    period, so an LCE that ran on across the seam between the word and
+    its reversal would count letters past its end."""
+    u, v = random_word(100, 15), random_word(100, 16, "012")
+    return {
+        "u+reversal": u + u[::-1],
+        "v+reversal-012": v + v[::-1],
+        "0^k 1 0^k": "0" * 100 + "1" + "0" * 100,
+        "t-4^4": word_t(4**4),
+        "(0110)^k": "0110" * 50,
+        "(00100)^k": "00100" * 40,
+        "(01210)^k": "01210" * 40,
+    }
+
+
+@pytest.mark.parametrize("name", list(seam_words()))
+def test_no_lce_counts_across_the_seam(name):
+    word = seam_words()[name]
+    for threshold in THRESHOLDS:
+        for strict in (False, True):
+            got = [as_tuple(o) for o in list_repetitions(word, threshold, strict)]
+            assert got == oracles.maximal_occurrences(word, threshold, strict), (threshold, strict)
+            assert as_tuple(find_power(word, threshold, strict)) == oracles.find_power(word, threshold, strict)
+    exp, occ = max_exponent(word)
+    assert (exp, as_tuple(occ)) == oracles.max_exponent(word)
+    # run(p): the last letters that equal the letter p before them.
+    expected = [oracles.extension(word[::-1], 0, p) for p in range(1, len(word) + 1)]
+    assert repetition._end_runs(word).tolist() == expected
 
 
 def smallest_period_words():
@@ -403,18 +453,18 @@ def test_find_power_early_exit_skips_checkpoints(monkeypatch):
     # On a random word the witness starts near 0, after which each
     # period needs one checkpoint, not about n / p of them.
     word, queried = random_word(1 << 14, 14), []
-    lce = repetition._Windows.lce
+    checkpoint_runs = repetition._checkpoint_runs
 
-    def spy(self, a, b, limit):
-        queried.append(len(a))
-        return lce(self, a, b, limit)
+    def spy(windows, n, per, q, d):
+        queried.append(len(q))  # every checkpoint of a chunk
+        return checkpoint_runs(windows, n, per, q, d)
 
-    monkeypatch.setattr(repetition._Windows, "lce", spy)
+    monkeypatch.setattr(repetition, "_checkpoint_runs", spy)
     assert find_power(word, 2, strict=True).start < 8
-    early = sum(queried[::2])  # backward queries: one per checkpoint
+    early = sum(queried)
     queried.clear()
     list_repetitions(word, 2, strict=True)
-    assert early < len(word) < sum(queried[::2]) / 4
+    assert early < len(word) < sum(queried) / 4
 
 
 # --- memory and the length cap ---
@@ -440,6 +490,19 @@ def test_kernel_peak_memory_on_t_2_14(query):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"{query} peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_kernel_peak_memory_on_t_2_20():
+    # The word and its reversal in one window array of 2n + 1 words
+    # (16 MiB here), built without a temporary of its size.
+    word = word_t(1 << 20)
+    tracemalloc.start()
+    try:
+        assert is_power_free(word, 2, plus=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 << 20, f"peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_queries_at_the_length_cap():
