@@ -20,11 +20,11 @@ so a backward LCE is a forward one in the reversal and each chunk of
 checkpoints sends both directions to the LCE as one batch.  A scan costs
 O(sum over p of n / need(p)) LCE queries: O(n log n) for thresholds of 2
 or more, against n comparisons per period for a direct scan.  Periods
-with d below ``_CROSSOVER`` (32, where the two costs meet) are scanned
-directly, which keeps words of up to about 64 letters on the plain
-per-period scan.  Thresholds stay exact ``Fraction`` values: need(p) is
-integer arithmetic and the LCE counts letters with a de Bruijn table,
-never floats.
+with d below ``_CROSSOVER`` (128) are scanned directly on bit planes, a
+Python int a bit of the letter codes: a dozen or so big-int operations a
+period, 64 letters a machine word, every run length exact.  Thresholds
+stay exact ``Fraction`` values: need(p) is integer arithmetic and the LCE
+counts letters with a de Bruijn table, never floats.
 
 :func:`_free_words` grows the words free of a threshold letter by letter.
 Its end test, whether a power ends at the new letter, is a step of a few
@@ -73,12 +73,11 @@ class PowerOccurrence:
 
 
 # Periods of checkpoint spacing d below this are compared with the shifted
-# word directly (n letters, against n / d LCE queries).  Summed over the
-# queries on prefixes of t and a and on random words, the two break even
-# between 24 and 32.
-_CROSSOVER = 32
-# Periods, checkpoints, windows per LCE round and (times 4) letters per
-# batch of direct periods in one chunk: they bound the working set.
+# word on bit planes (n / 64 machine words, against n / d LCE queries);
+# 128 >= 2 * 64 - 1 lets every checkpoint chunk filter on first windows.
+_CROSSOVER = 128
+# Periods, checkpoints, windows per LCE round and (times 4) letters of the
+# direct periods with runs in one chunk: they bound the working set.
 _CHUNK = 4096
 
 _DEBRUIJN = np.uint64(0x022FDD63CC95386D)
@@ -86,10 +85,6 @@ _TRAILING_ZEROS = np.zeros(64, dtype=np.int32)
 _TRAILING_ZEROS[
     (np.uint64(1) << np.arange(64, dtype=np.uint64)) * _DEBRUIJN >> np.uint64(58)
 ] = range(64)
-
-
-def _letters(word: str) -> np.ndarray:
-    return np.frombuffer(word.encode("ascii"), dtype=np.uint8)
 
 
 def _as_threshold(value: Fraction | int) -> Fraction:
@@ -121,7 +116,8 @@ class _Windows:
     reversal (from offset n).  Letters past 2n read 0; windows run across
     the seam at n, and :meth:`lce` clips every count to its limit."""
 
-    def __init__(self, codes: np.ndarray, bits: int):
+    def __init__(self, codes: np.ndarray, letters: int):
+        bits = next(b for b in (1, 2, 4, 8) if letters <= 1 << b)
         self.per, self.equal_letters = 64 // bits, _TRAILING_ZEROS // bits
         size = 2 * len(codes)
         self.windows = np.zeros(size + 1, np.uint64)
@@ -164,37 +160,55 @@ class _Windows:
         return np.minimum(out, limit)
 
 
+def _ranks(word: str) -> tuple[np.ndarray, int]:
+    """The uint8 letter codes of a word, ranked 0, 1, ..., and their number."""
+    raw = word.encode("ascii")
+    ranks = np.cumsum(np.bincount(np.frombuffer(raw, np.uint8), minlength=256) > 0, dtype=np.uint8)
+    return np.frombuffer(raw.translate((ranks - 1).tobytes()), np.uint8), int(ranks[-1])
+
+
 def _windows(word: str) -> _Windows:
     """Windows of a word followed by its reversal, letters coded by rank."""
-    arr = _letters(word)
-    present = np.bincount(arr, minlength=256) > 0
-    codes = (np.cumsum(present) - 1).astype(np.uint8)[arr]
-    bits = next(b for b in (1, 2, 4, 8) if int(present.sum()) <= 1 << b)
-    return _Windows(codes, bits)
+    return _Windows(*_ranks(word))
 
 
-def _direct(padded: np.ndarray, width: int, p: int, spacing: np.ndarray):
-    """The direct scan: runs of w[i] == w[i + p + k] of at least
-    spacing[k] letters, for the periods p + k, k < len(spacing).
-    ``padded`` holds the n letters of w followed by n bytes 0xff, which no
-    ASCII letter equals.  Only the first ``width`` <= n positions are
-    compared, so a run that reaches position width - 1 may be longer than
-    reported.
+def _direct(planes: list[int], n: int, p: int, spacing: list[int], bound: int):
+    """The direct scan on the bit planes of a word of n letters: the runs
+    of w[i] == w[i + p + k] of at least spacing[k] letters that start at
+    or before ``bound``, for p + k in turn until max(1, 4 * _CHUNK // n)
+    periods had runs (a bound below n cuts the planes), and the number of
+    periods scanned.  One unpackbits pass gives the exact int64 (starts,
+    periods, lengths): the carry of ``equal + starts`` ends past each run."""
 
-    Returns int64 (lines, starts, lengths): a run of L letters from i on
-    line k is the occurrence (i, p + k, p + k + L).
-    """
-    rows = len(spacing)
-    # Line k of the view is the word shifted left by p + k.  (Built
-    # directly: sliding_window_view keeps memory on every call.)
-    shifted = np.ndarray((rows, width), np.uint8, padded, offset=p, strides=(1, 1))
-    edges = np.zeros((rows, width + 2), np.int8)
-    edges[:, 1:-1] = shifted == padded[:width]
-    delta = (edges[:, 1:] - edges[:, :-1]).ravel()
-    lines, starts = np.divmod((delta == 1).nonzero()[0], width + 1)
-    lengths = (delta == -1).nonzero()[0] - lines * (width + 1) - starts
-    keep = lengths >= spacing[lines]
-    return lines[keep], starts[keep], lengths[keep]
+    def equal_at(planes: list[int], width: int, shift: int) -> int:
+        miss = 0  # bit i: letters i and i + shift differ, i < width - shift
+        for plane in planes:
+            miss |= plane ^ plane >> shift
+        return ~miss & ((1 << (width - shift)) - 1)
+
+    width = min(n, bound + p + len(spacing) + _CROSSOVER)
+    cut = planes if width == n else [plane & ((1 << width) - 1) for plane in planes]
+    keep, found = (1 << (bound + 1)) - 1 if bound < n else -1, []  # starts <= bound
+    for k, d in enumerate(spacing):
+        equal = equal_at(cut, width, p + k)
+        runs, have = equal, 1  # runs: bit i when d letters from i are equal
+        while 2 * have < d:
+            runs &= runs >> have
+            have *= 2
+        runs &= runs >> (d - have)
+        if starts := runs & ~(equal << 1) & keep:
+            equal = equal if cut is planes else equal_at(planes, n, p + k)
+            found.append((p + k, starts, (equal + starts) & ~equal))
+            if len(found) >= 4 * _CHUNK // n:
+                break
+    periods, starts, ends = list(zip(*found)) or [(), (), ()]
+    size = -(-n // 8)
+    octets = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in starts + ends), np.uint8)
+    rows, cols = np.unpackbits(octets.reshape(-1, size), axis=1, bitorder="little").nonzero()
+    # One end a start, in order; copied starts let the ends go.
+    starts, ends = cols.reshape(2, -1)
+    periods = np.array(periods, np.int64)[rows[: starts.size]]
+    return k + 1, (starts.copy(), periods, periods + ends - starts)
 
 
 def _checkpoint_runs(windows: _Windows, n: int, per: np.ndarray, q: np.ndarray, d: np.ndarray):
@@ -202,13 +216,12 @@ def _checkpoint_runs(windows: _Windows, n: int, per: np.ndarray, q: np.ndarray, 
     not decreasing), find in a word of n letters, as int64 (starts,
     periods, lengths).  One LCE batch holds both directions of every
     checkpoint: backward from q in the word is forward from 2n - q."""
-    if d[0] >= 2 * windows.per - 1:
-        # A first window that differs both ways makes at most 2 per - 2
-        # letters: only checkpoints with a wholly equal first window one
-        # way or the other go on to the exact LCE.
-        window = windows._window
-        equal = (window(2 * n - q - per) == window(2 * n - q)) | (window(q) == window(q + per))
-        per, q, d = per[equal], q[equal], d[equal]
+    # A first window that differs both ways makes at most 2 per - 2 <
+    # _CROSSOVER <= d letters: only checkpoints with a wholly equal first
+    # window one way or the other go on to the exact LCE.
+    window = windows._window
+    equal = (window(2 * n - q - per) == window(2 * n - q)) | (window(q) == window(q + per))
+    per, q, d = per[equal], q[equal], d[equal]
     both = windows.lce(
         np.concatenate((2 * n - q - per, q)),
         np.concatenate((2 * n - q, q + per)),
@@ -226,31 +239,34 @@ def _runs(
     strict: bool,
     last_start: Callable[[], int] | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The maximal repetitions of ``word`` that meet the threshold, as
-    int64 (starts, periods, lengths) arrays for chunks of ascending
-    periods.  Every run is reported once, in any order inside a chunk.
+    """The maximal repetitions of ``word`` that meet the threshold, with
+    exact lengths, as int64 (starts, periods, lengths) arrays for chunks of
+    ascending periods, each run once, in any order inside a chunk.
 
     At period p a maximal run of w[i] == w[i+p] of L >= d = max(need(p), 1)
     letters is the occurrence (start, p, p + L).  ``threshold()`` is read
     again for each chunk, so a caller may raise it as it goes; a chunk
     may then hold runs below the raised threshold.  ``last_start()``, when
     given, is read for each chunk too: the chunk then reports every run
-    that starts at or before it, and may report others with their
-    lengths cut short.
+    that starts at or before it, and may report others.
 
-    Periods with d < _CROSSOVER compare the word with its shifts
-    (:func:`_direct`).  Longer spacings place checkpoints q = 0, d, 2d,
-    ... below n - p.  A run of at least d letters covers at least one of
-    them, and exactly one, its first, extends backward by fewer than d
-    letters; that checkpoint's backward and forward LCEs give the run's
-    start and length.  A run starting at or before s therefore has its
-    first checkpoint below s + d.  Each chunk of up to _CHUNK checkpoints
-    goes to :func:`_checkpoint_runs` as one batch.  need(p) comes from a
-    table of 2 * _CHUNK periods, computed again only when ``threshold()``
-    changes or a chunk would run past the table.
+    Periods with d < _CROSSOVER compare the word with its shifts on bit
+    planes (:func:`_direct`), a chunk ending after max(1, 4 * _CHUNK //
+    n) periods with runs.  Longer spacings place checkpoints every d
+    positions down from min(n - p - 1, s), s the last start (n without a
+    bound).  A run of at least d letters that starts at or before that top
+    covers at least one of them, and exactly one, its first, extends
+    backward by fewer than d letters; that checkpoint's backward and
+    forward LCEs give the run's start and length.  A bound s below d
+    leaves one checkpoint a period.  Each chunk of up to _CHUNK
+    checkpoints goes to :func:`_checkpoint_runs` as one batch.  need(p)
+    comes from a table of 2 * _CHUNK periods, computed again only when
+    ``threshold()`` changes or a chunk would run past the table.
     """
     n, p, windows, table_thr, stop = len(word), 1, None, None, 0
-    padded = np.frombuffer(word.encode("ascii") + b"\xff" * n, np.uint8)
+    codes, letters = _ranks(word)
+    bits = range(max(1, (letters - 1).bit_length()))  # bit i of plane b: bit b of code i
+    planes = [int.from_bytes(np.packbits(codes & 1 << b, bitorder="little"), "little") for b in bits]
     index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
     while p < n:
         thr = threshold()
@@ -266,19 +282,18 @@ def _runs(
             return
         bound = n if last_start is None else last_start()
         if spacing[0] < _CROSSOVER:
-            width = min(n, bound + _CROSSOVER)
-            rows = min(int(spacing.searchsorted(_CROSSOVER)), max(1, 4 * _CHUNK // width))
-            lines, starts, lengths = _direct(padded, width, p, spacing[:rows])
-            periods = p + lines
-            yield starts, periods, periods + lengths
+            direct = spacing[: spacing.searchsorted(_CROSSOVER)].tolist()
+            rows, runs = _direct(planes, n, p, direct, bound)
+            yield runs
         else:
-            windows = windows or _windows(word)
+            windows = windows or _Windows(codes, letters)
             k = np.arange(len(spacing))
-            counts = np.minimum(n - 1 - p - k, bound + spacing - 1) // spacing + 1
+            tops = np.minimum(n - 1 - p - k, bound)
+            counts = tops // spacing + 1
             rows = max(1, int(np.searchsorted(np.cumsum(counts), _CHUNK, side="right")))
             k = np.repeat(k[:rows], counts[:rows])
             first = np.cumsum(counts[:rows]) - counts[:rows]
-            q = (np.arange(len(k)) - first[k]) * spacing[k]
+            q = tops[k] - (np.arange(len(k)) - first[k]) * spacing[k]
             per, q, d = (x.astype(index) for x in (p + k, q, spacing[k]))
             yield _checkpoint_runs(windows, n, per, q, d)
         p += rows
@@ -369,13 +384,7 @@ def find_power(
         if runs[0].size:
             found = _leftmost(*runs)
             best = found if best is None else min(best, found)
-    if best is None:
-        return None
-    # A bounded direct scan may cut the winner's run short: measure it.
-    start, period, _ = best
-    arr = _letters(word)
-    differ = arr[start + period :] != arr[start : len(word) - period]
-    return PowerOccurrence(start, period, period + int(differ.argmax() if differ.any() else differ.size))
+    return None if best is None else PowerOccurrence(*best)
 
 
 def is_power_free(word: str, threshold: Fraction | int, plus: bool = False) -> bool:
@@ -443,7 +452,7 @@ def _free_words(word: str, threshold: Fraction | int, plus: bool, max_length: in
     limit = min(max_length, 1 << 61)
     width = limit.bit_length() + 1
     guard = 1 << (width - 1)
-    letters = _letters(word[::-1])
+    letters = np.frombuffer(word[::-1].encode("ascii"), np.uint8)
     codes = _pack((letters == ord("1")) + 2 * (letters == ord("0")), width)
     deficits = _pack(guard - 1 + _need(thr, plus, 1, n + 1, limit) - _end_runs(word), width)
     stack, covered = [(word, codes, deficits)], 0

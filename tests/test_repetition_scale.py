@@ -12,6 +12,10 @@
   from a long start word; the one-shot end-of-word test
   (``_ends_in_power``) against the oracles; and find_power's early exit
   against the oracles and the full scan.
+* The direct scan on bit planes against the oracles: alphabets of 1 to
+  5 planes, need(p) = 1, periods on both sides of the crossover, runs
+  that end at the end of the word, and find_power witnesses whose run
+  reaches past the letters a bounded scan compares.
 * Memory guards at 2^14 and 2^20 letters, smallest_period in linear
   time on 0^m 1, and the queries at the 2^20-letter cap.
 """
@@ -338,6 +342,73 @@ def test_smallest_period_is_linear_time_at_2_17():
         assert time.perf_counter() - start < 2.0, len(word)
 
 
+# --- the direct scan on bit planes ---
+
+# Alphabets of 2, 4, 5 and 20 letters: codes of 1, 2, 3 and 5 bits.
+PLANE_ALPHABETS = {"1-plane": "01", "2-planes": "0123", "3-planes": "01234", "5-planes": "abcdefghijklmnopqrst"}
+
+
+def crossover_word(alphabet, seed):
+    """Random letters with a repetition at each period from 125 to 129,
+    around the crossover at need(p) = 128: of exponent 2 + 1/p, 2, 2 + 1/p,
+    just below 2 and 2 + 1/p again, the last ending at the end of the
+    word.  At 2+ the runs at 125 and 126 meet need(p) = p + 1 < 128 with
+    no letter to spare or miss it by one."""
+    rng = random.Random(seed)
+    out = []
+    for period, extra in ((125, 1), (126, 0), (127, 1), (128, -1), (129, 1)):
+        block = random_word(period, rng.random(), alphabet)
+        out += [random_word(5, rng.random(), alphabet), (block * 3)[: 2 * period + extra]]
+    return "".join(out)
+
+
+@pytest.mark.parametrize("planes", list(PLANE_ALPHABETS))
+def test_direct_scan_matches_oracle(planes):
+    alphabet = PLANE_ALPHABETS[planes]
+    word = crossover_word(alphabet, len(alphabet))
+    # Every maximal run once; each threshold keeps those that meet it.
+    runs = oracles.maximal_occurrences(word, Fraction(1))
+    assert any(p == 129 and start + length == len(word) for start, p, length in runs)  # ends at n - p
+    assert {period for _, period, _ in runs} >= {125, 126, 127, 128, 129}
+    # need(p) = 1 at every period (1+) or up to p = 1000 (1001/1000);
+    # need(p) = p + 1 is 127 at p = 126 (direct) and 128 at p = 127, and
+    # need(p) = p is 127 at p = 127 and 128 at p = 128 (checkpoints).
+    for threshold, strict in [(Fraction(1), True), (Fraction(1001, 1000), False), (Fraction(3, 2), False),
+                              (Fraction(2), False), (Fraction(2), True), (Fraction(255, 127), False)]:
+        listed = [run for run in runs if meets(run[2], run[1], threshold, strict)]
+        assert [as_tuple(o) for o in list_repetitions(word, threshold, strict)] == listed, threshold
+        assert as_tuple(find_power(word, threshold, strict)) == (listed[0] if listed else None), threshold
+        assert is_power_free(word, threshold, plus=strict) == (not listed), threshold
+    top = min(runs, key=lambda run: (-Fraction(run[2], run[1]), run[0], run[1]))
+    exp, occ = max_exponent(word)
+    assert (exp, as_tuple(occ)) == (Fraction(top[2], top[1]), top)
+
+
+@pytest.mark.parametrize("planes", list(PLANE_ALPHABETS))
+def test_find_power_witness_reaches_past_the_bound(planes):
+    alphabet = PLANE_ALPHABETS[planes]
+    # Past 4 * _CHUNK letters each direct chunk ends at its first period
+    # with runs.  The first finds the overlap aaa at start 10; a later one
+    # the leftmost witness, at start 1 and period 100, whose run reaches
+    # past the letters that the scan bounded by start 10 compares, about
+    # 10 + 2 * _CROSSOVER.  find_power reports its whole length.
+    rng = random.Random(len(alphabet))
+    if alphabet == "01":
+        block = word_t(1024)[300:400]  # overlap-free
+    else:
+        block = random_word(100, rng.random(), alphabet)
+    block = block[:9] + alphabet[0] * 3 + block[12:]
+    head = next(a for a in alphabet if a != block[-1])
+    word = head + block * 5 + block[:7] + random_word(1 << 14, rng.random(), alphabet)
+    assert len(word) > 4 * repetition._CHUNK
+    first = next(runs for runs in repetition._runs(word, lambda: Fraction(2), True) if runs[0].size)
+    assert 100 not in first[1]
+    for threshold, strict in [(Fraction(2), True), (SEVEN_THIRDS, False), (Fraction(5, 2), False)]:
+        got = find_power(word, threshold, strict)
+        assert as_tuple(got) == oracles.find_power(word, threshold, strict), threshold
+        assert (got.start, got.period) == (1, 100) and got.end > 10 + 2 * repetition._CROSSOVER
+
+
 # --- growing power-free words letter by letter, and find_power's early exit ---
 
 # Strict thresholds with a large denominator exercise the packed need table.
@@ -416,14 +487,15 @@ def early_exit_words():
     words = {f"random-2^{k}": random_word(1 << k, rng.random()) for k in (10, 11, 12, 13, 14)}
     words.update({f"{name}-2^{k}": generator(name)(1 << k) for name in ("a", "beta:11/5:3", "wb:01(10)") for k in (8, 10, 13)})
     # The leftmost overlap, at start 1, has a period in a later chunk than
-    # the 000 at start 4, which the first chunk finds: at period 20 on the
-    # direct path, its run longer than the 36 positions the bounded scan
-    # compares, and at period 300 on the checkpoint path, its first
-    # checkpoint (301) well past 4.
-    t = word_t(4096)
-    for period, copies in ((20, 5), (300, 2)):
+    # the 000 at start 4, which the first chunk finds: past 4 * _CHUNK
+    # letters each direct chunk ends at the first period with runs.  At
+    # periods 20 and 100 on the direct path (at 100 its run reaches past
+    # the letters that the bounded scan compares), and at period 300 on
+    # the checkpoint path, past the one checkpoint of that period, at 4.
+    t = word_t(1 << 15)
+    for period, copies in ((20, 5), (100, 5), (300, 2)):
         v = "011000" + t[3 * period : 4 * period - 7] + "0"
-        words[f"late-period-{period}"] = "1" + v * copies + v[:7] + t[1000:3100]
+        words[f"late-period-{period}"] = "1" + v * copies + v[:7] + t[1000 : 1000 + (1 << 14)]
     return words
 
 
@@ -442,7 +514,7 @@ def test_find_power_early_exit_matches_full_scan(name):
 
 def test_find_power_early_exit_finds_a_smaller_start_later():
     words = early_exit_words()
-    for period, length in ((20, 107), (300, 607)):
+    for period, length in ((20, 107), (100, 507), (300, 607)):
         word = words[f"late-period-{period}"]
         assert find_power(word, 2, strict=True) == repetition.PowerOccurrence(1, period, length)
         first = next(runs for runs in repetition._runs(word, lambda: Fraction(2), True) if runs[0].size)
@@ -450,21 +522,23 @@ def test_find_power_early_exit_finds_a_smaller_start_later():
 
 
 def test_find_power_early_exit_skips_checkpoints(monkeypatch):
-    # On a random word the witness starts near 0, after which each
-    # period needs one checkpoint, not about n / p of them.
+    # On a random word the direct path finds a witness near 0, after which
+    # each checkpoint-path period p (need(p) = p + 1 >= _CROSSOVER, 2p + 1
+    # <= n) needs one checkpoint, not the n / (p + 1) that listing places.
     word, queried = random_word(1 << 14, 14), []
     checkpoint_runs = repetition._checkpoint_runs
 
     def spy(windows, n, per, q, d):
-        queried.append(len(q))  # every checkpoint of a chunk
+        queried.extend(per.tolist())  # the period of every checkpoint
         return checkpoint_runs(windows, n, per, q, d)
 
     monkeypatch.setattr(repetition, "_checkpoint_runs", spy)
     assert find_power(word, 2, strict=True).start < 8
-    early = sum(queried)
+    periods = list(range(repetition._CROSSOVER - 1, (len(word) - 1) // 2 + 1))
+    assert queried == periods
     queried.clear()
     list_repetitions(word, 2, strict=True)
-    assert early < len(word) < sum(queried) / 4
+    assert queried == [p for p in periods for _ in range((len(word) - 1 - p) // (p + 1) + 1)]
 
 
 # --- memory and the length cap ---
@@ -512,6 +586,8 @@ def test_queries_at_the_length_cap():
         ("is_power_free(t, 2+)", lambda: is_power_free(t, 2, plus=True), True),
         ("max_exponent(t)", lambda: max_exponent(t)[0], 2),
         ("find_power(a, 7/3)", lambda: find_power(a, SEVEN_THIRDS), None),
+        # The witness at start 0 bounds every later chunk to the first letters.
+        ("find_power(a, 2+)", lambda: as_tuple(find_power(a, 2, strict=True)), (0, 4, 9)),
     ]:
         start = time.perf_counter()
         assert call() == expected, name
