@@ -11,20 +11,17 @@ strictly above 2 (such as 01010).  Thresholds come in two flavours:
   ("a-plus", e.g. overlap-free = 2+) when no such factor exists.
 
 Every query derives from one primitive, :func:`_runs`: the maximal
-repetitions meeting a threshold at every period, primitive or not.  It
-places checkpoints every d = max(need(p), 1) positions of period p,
-need(p) being the least run length that meets the threshold, and extends
-each by exact longest-common-extension (LCE) queries on 64-bit windows of
-letter codes.  One window array holds the word followed by its reversal,
-so a backward LCE is a forward one in the reversal and each chunk of
-checkpoints sends both directions to the LCE as one batch.  A scan costs
-O(sum over p of n / need(p)) LCE queries: O(n log n) for thresholds of 2
-or more, against n comparisons per period for a direct scan.  Periods
-with d below ``_CROSSOVER`` (128) are scanned directly on bit planes, a
-Python int a bit of the letter codes: a dozen or so big-int operations a
-period, 64 letters a machine word, every run length exact.  Thresholds
-stay exact ``Fraction`` values: need(p) is integer arithmetic and the LCE
-counts letters with a de Bruijn table, never floats.
+repetitions meeting a threshold at every period, the runs of w[i] ==
+w[i + p] of at least need(p) letters.  Periods with need(p) below
+``_CROSSOVER`` (128) are scanned directly on bit planes, a Python int a
+bit of the letter codes, 64 letters a machine word.  The others go in
+bands of needs in [d, 2d): anchors d - 63 apart put a whole 64-bit
+window (64 letters of a binary word) in each run of d letters, one
+comparison of the anchor windows with a strided view of the windows p
+letters later finds the runs of the band, and exact
+longest-common-extension (LCE) queries on the windows of the word and
+its reversal measure them.  Thresholds stay exact ``Fraction`` values:
+need(p) is integer arithmetic, the LCE a de Bruijn table.
 
 :func:`_free_words` grows the words free of a threshold letter by letter.
 Its end test, whether a power ends at the new letter, is a step of a few
@@ -72,12 +69,11 @@ class PowerOccurrence:
         return word[self.start : self.end - self.period] == word[self.start + self.period : self.end]
 
 
-# Periods of checkpoint spacing d below this are compared with the shifted
-# word on bit planes (n / 64 machine words, against n / d LCE queries);
-# 128 >= 2 * 64 - 1 lets every checkpoint chunk filter on first windows.
+# Periods of need below this are compared with the shifted word on bit
+# planes; 128 >= 2 * 64 - 1 keeps the anchor windows of a band apart.
 _CROSSOVER = 128
-# Periods, checkpoints, windows per LCE round and (times 4) letters of the
-# direct periods with runs in one chunk: they bound the working set.
+# Periods, windows per LCE round, (times 64) anchor windows and (times 4)
+# letters of the direct periods with runs in one chunk: the working set.
 _CHUNK = 4096
 
 _DEBRUIJN = np.uint64(0x022FDD63CC95386D)
@@ -211,26 +207,48 @@ def _direct(planes: list[int], n: int, p: int, spacing: list[int], bound: int):
     return k + 1, (starts.copy(), periods, periods + ends - starts)
 
 
-def _checkpoint_runs(windows: _Windows, n: int, per: np.ndarray, q: np.ndarray, d: np.ndarray):
-    """The runs that checkpoints q of periods ``per``, spaced d apart (d
-    not decreasing), find in a word of n letters, as int64 (starts,
-    periods, lengths).  One LCE batch holds both directions of every
-    checkpoint: backward from q in the word is forward from 2n - q."""
-    # A first window that differs both ways makes at most 2 per - 2 <
-    # _CROSSOVER <= d letters: only checkpoints with a wholly equal first
-    # window one way or the other go on to the exact LCE.
-    window = windows._window
-    equal = (window(2 * n - q - per) == window(2 * n - q)) | (window(q) == window(q + per))
-    per, q, d = per[equal], q[equal], d[equal]
-    both = windows.lce(
-        np.concatenate((2 * n - q - per, q)),
-        np.concatenate((2 * n - q, q + per)),
-        np.concatenate((np.minimum(d, q), n - q - per)),
-    )
-    back, ahead = both[: q.size], both[q.size :]
-    found = (back < d) & (back + ahead >= d)
-    per, q, back, ahead = (x[found].astype(np.int64) for x in (per, q, back, ahead))
-    return q - back, per, per + back + ahead
+def _band_hits(windows: _Windows, n: int, p: int, need: np.ndarray, step: int, rows: int):
+    """The anchors q = step - 1, 2 step - 1, ... (``rows`` of them) whose
+    window equals the one p + k letters later in the word: int64 (q, p + k,
+    need[k], q - step if that anchor is a hit too, else -1), by period, q."""
+    per, array = windows.per, windows.windows
+    later = np.ndarray((need.size, rows), array.dtype, array, (p + step - 1) * 8, (8, step * 8))
+    equal = (later == array[step - 1 : rows * step : step]).ravel()  # row k: p + k letters on
+    k, j = np.divmod(equal.nonzero()[0], rows)
+    q = (j + 1) * step - 1
+    before = np.where((j > 0) & equal[k * rows + j - 1], q - step, -1)
+    inside = q + k <= n - per - p  # the later window in the word too
+    return q[inside], p + k[inside], need[k[inside]], before[inside]
+
+
+def _anchor_runs(windows: _Windows, n: int, p: int, spacing: np.ndarray, bound: int):
+    """The number of periods scanned from p on, and the runs of at least
+    ``spacing`` letters at them that start at or before ``bound`` (and
+    maybe others), through the hits of bands up to 64 * _CHUNK anchor
+    windows.  One LCE batch measures the first and the last hit of each
+    chain of hits, a second any hits past the run of their chain's first;
+    a run is reported by its first anchor, the one past the anchor before."""
+    per, rows, left, hits = windows.per, 0, 64 * _CHUNK, []
+    while rows < spacing.size and left > 0:  # a band: needs in [d, 2d)
+        step = int(spacing[rows]) - per + 1
+        anchors = (min(n - p - rows - per, bound + step - 1) + 1) // step
+        size = max(1, min(spacing[rows:].searchsorted(2 * spacing[rows]), left // anchors))
+        hits.append(_band_hits(windows, n, p + rows, spacing[rows : rows + size], step, anchors))
+        rows, left = rows + size, left - size * anchors
+    q, period, need, before = map(np.concatenate, zip(*hits))
+    head, index, (back, ahead) = before < 0, np.arange(q.size), np.zeros((2, q.size), np.int64)
+    pick, measured = head | np.append(before[1:] != q[:-1], True), False  # chains' ends
+    while pick.any():
+        at, shift = q[pick], period[pick]
+        back[pick], ahead[pick] = windows.lce(
+            np.concatenate((2 * n - at - shift, at)),
+            np.concatenate((2 * n - at, at + shift)),
+            np.concatenate((np.minimum(at, at - before[pick]), n - at - shift)),
+        ).reshape(2, -1)
+        measured |= pick
+        pick = ~measured & (q >= (q + ahead)[np.maximum.accumulate(np.where(head, index, 0))])
+    found = measured & (q - back > before) & (back + ahead >= need)  # first anchors
+    return rows, ((q - back)[found], period[found], (period + back + ahead)[found])
 
 
 def _runs(
@@ -250,24 +268,15 @@ def _runs(
     given, is read for each chunk too: the chunk then reports every run
     that starts at or before it, and may report others.
 
-    Periods with d < _CROSSOVER compare the word with its shifts on bit
-    planes (:func:`_direct`), a chunk ending after max(1, 4 * _CHUNK //
-    n) periods with runs.  Longer spacings place checkpoints every d
-    positions down from min(n - p - 1, s), s the last start (n without a
-    bound).  A run of at least d letters that starts at or before that top
-    covers at least one of them, and exactly one, its first, extends
-    backward by fewer than d letters; that checkpoint's backward and
-    forward LCEs give the run's start and length.  A bound s below d
-    leaves one checkpoint a period.  Each chunk of up to _CHUNK
-    checkpoints goes to :func:`_checkpoint_runs` as one batch.  need(p)
-    comes from a table of 2 * _CHUNK periods, computed again only when
-    ``threshold()`` changes or a chunk would run past the table.
+    Periods with d < _CROSSOVER go to :func:`_direct`, the others to
+    :func:`_anchor_runs`.  need(p) comes from a table of 2 * _CHUNK
+    periods, computed again only when ``threshold()`` changes or a chunk
+    would run past the table.
     """
     n, p, windows, table_thr, stop = len(word), 1, None, None, 0
     codes, letters = _ranks(word)
     bits = range(max(1, (letters - 1).bit_length()))  # bit i of plane b: bit b of code i
     planes = [int.from_bytes(np.packbits(codes & 1 << b, bitorder="little"), "little") for b in bits]
-    index = np.int32 if n < 1 << 30 else np.int64  # halves the working set
     while p < n:
         thr = threshold()
         if thr != table_thr or stop < min(p + _CHUNK, n):
@@ -282,20 +291,11 @@ def _runs(
             return
         bound = n if last_start is None else last_start()
         if spacing[0] < _CROSSOVER:
-            direct = spacing[: spacing.searchsorted(_CROSSOVER)].tolist()
-            rows, runs = _direct(planes, n, p, direct, bound)
-            yield runs
+            rows, runs = _direct(planes, n, p, spacing[: spacing.searchsorted(_CROSSOVER)].tolist(), bound)
         else:
             windows = windows or _Windows(codes, letters)
-            k = np.arange(len(spacing))
-            tops = np.minimum(n - 1 - p - k, bound)
-            counts = tops // spacing + 1
-            rows = max(1, int(np.searchsorted(np.cumsum(counts), _CHUNK, side="right")))
-            k = np.repeat(k[:rows], counts[:rows])
-            first = np.cumsum(counts[:rows]) - counts[:rows]
-            q = tops[k] - (np.arange(len(k)) - first[k]) * spacing[k]
-            per, q, d = (x.astype(index) for x in (p + k, q, spacing[k]))
-            yield _checkpoint_runs(windows, n, per, q, d)
+            rows, runs = _anchor_runs(windows, n, p, spacing, bound)
+        yield runs
         p += rows
 
 

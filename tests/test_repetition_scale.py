@@ -1,7 +1,7 @@
 """The repetition kernel at scale and at its edges.
 
 * Differential checks against a plain per-period scan at 2^10-2^14
-  letters, where the checkpoint scan does the work (the Hypothesis
+  letters, where the bands of anchors do the work (the Hypothesis
   strategies of test_repetition stop at 40 letters).
 * Exactness: thresholds whose need(p) overflows int64, alphabets beyond
   {0, 1}, the integer-only LCE and its seam between a word and its
@@ -16,6 +16,10 @@
   5 planes, need(p) = 1, periods on both sides of the crossover, runs
   that end at the end of the word, and find_power witnesses whose run
   reaches past the letters a bounded scan compares.
+* The bands of anchors against the oracles: windows of 64 to 8 letters,
+  runs that just hold one anchor window, chains of hits across runs,
+  band edges, runs that end at the end of the word and a threshold
+  below 2; the LCE pairs on periodic words.
 * Memory guards at 2^14 and 2^20 letters, smallest_period in linear
   time on 0^m 1, and the queries at the 2^20-letter cap.
 """
@@ -42,7 +46,7 @@ from wordpower import (
     word_t,
 )
 from wordpower import repetition
-from wordpower.atlas import max_overlap_free_extension
+from wordpower.atlas import _square_blocks, max_overlap_free_extension
 from wordpower.repetition import _ends_in_power, _free_words, _windows
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(19, 8), Fraction(5, 2), Fraction(3)]
@@ -522,23 +526,132 @@ def test_find_power_early_exit_finds_a_smaller_start_later():
 
 
 def test_find_power_early_exit_skips_checkpoints(monkeypatch):
-    # On a random word the direct path finds a witness near 0, after which
-    # each checkpoint-path period p (need(p) = p + 1 >= _CROSSOVER, 2p + 1
-    # <= n) needs one checkpoint, not the n / (p + 1) that listing places.
-    word, queried = random_word(1 << 14, 14), []
-    checkpoint_runs = repetition._checkpoint_runs
+    # On a random word the direct path finds a witness near 0, below every
+    # anchor step, after which each band of anchor-path periods p (need(p)
+    # = p + 1 >= _CROSSOVER, 2p + 1 <= n) examines one anchor row, not the
+    # (n - p - 63) // step rows that listing examines.
+    word, bands = random_word(1 << 14, 14), []
+    band_hits = repetition._band_hits
 
-    def spy(windows, n, per, q, d):
-        queried.extend(per.tolist())  # the period of every checkpoint
-        return checkpoint_runs(windows, n, per, q, d)
+    def spy(windows, n, p, need, step, rows):
+        bands.append((p, need.size, step, rows))
+        return band_hits(windows, n, p, need, step, rows)
 
-    monkeypatch.setattr(repetition, "_checkpoint_runs", spy)
+    monkeypatch.setattr(repetition, "_band_hits", spy)
     assert find_power(word, 2, strict=True).start < 8
-    periods = list(range(repetition._CROSSOVER - 1, (len(word) - 1) // 2 + 1))
-    assert queried == periods
-    queried.clear()
+    early = bands[:]
+    bands.clear()
     list_repetitions(word, 2, strict=True)
-    assert queried == [p for p in periods for _ in range((len(word) - 1 - p) // (p + 1) + 1)]
+    periods = list(range(repetition._CROSSOVER - 1, (len(word) - 1) // 2 + 1))
+    for scanned in (early, bands):
+        # Each period once, in bands of needs in [d, 2d), d = p + 1 for the
+        # band's first period p, anchors d - 63 apart.
+        assert [p + k for p, size, _, _ in scanned for k in range(size)] == periods
+        assert all(p + size < 2 * (p + 1) and step == p + 1 - 63 for p, size, step, _ in scanned)
+    assert [rows for *_, rows in early] == [1] * len(early)
+    assert [rows for *_, rows in bands] == [(len(word) - p - 63) // step for p, _, step, _ in bands]
+
+
+# --- the bands of anchors ---
+
+# Alphabets of 2, 3, 5 and 17 letters: windows of 64, 32, 16 and 8 letters.
+ANCHOR_ALPHABETS = {"64-letter-windows": "01", "32-letter-windows": "012", "16-letter-windows": "01234",
+                    "8-letter-windows": "abcdefghijklmnopq"}
+
+
+def planted_runs(alphabet, length, runs, seed):
+    """Random letters with, for each (start, period, size), a maximal run
+    of exactly ``size`` letters w[i] == w[i + period] from ``start``."""
+    rng = random.Random(seed)
+    w = [rng.choice(alphabet) for _ in range(length)]
+    for start, period, size in runs:
+        for i in range(start, start + size):
+            w[i + period] = w[i]
+        if start:
+            w[start - 1] = next(a for a in alphabet if a != w[start - 1 + period])
+        if start + size + period < length:
+            w[start + size + period] = next(a for a in alphabet if a != w[start + size])
+    return "".join(w)
+
+
+def anchor_band_runs(per):
+    """(length, runs) for :func:`planted_runs`: at 2, need(p) = p, so the
+    first band holds periods 128..255 with d = 128, anchors step - 1,
+    2 step - 1, ... with step = d - per + 1."""
+    step = 128 - per + 1
+    # Each run's letters, its copy and the unequal letters around it stay
+    # apart from the other runs' (the chain's two runs share one).
+    tight = 2 * step  # the region's only whole anchor window ends where it ends
+    apart = -(-(tight + 258) // (step + 1)) * (step + 1)  # anchors step + 1 apart hold none
+    # A chain of three hits at consecutive anchors a, a + step, a + 2 step:
+    # the first in a run of its own, the others in one run that starts
+    # just past the first's window.
+    a = -(-(apart + 319) // step) * step - 1
+    edge = a + per + 2 * step + 135
+    # A region of d letters that ends at the last letter, its one anchor
+    # window ending there too.
+    length = -(-(edge + 1164 - per) // step) * step + 127 + per
+    return length, [
+        (tight, 128, 128),
+        (apart, 128, 128),
+        (a - 60, 128, 60 + per),
+        (a + per + 1, 128, 2 * step + 4),
+        (edge, 255, 255),  # 2P - 1 and 2P, P = 128: both sides of a band edge
+        (edge + 520, 256, 257),
+        (length - 256, 128, 128),
+    ]
+
+
+@pytest.mark.parametrize("windows", list(ANCHOR_ALPHABETS))
+def test_anchor_bands_match_oracle(windows):
+    alphabet = ANCHOR_ALPHABETS[windows]
+    length, runs = anchor_band_runs(64 // next(b for b in (1, 2, 4, 8) if len(alphabet) <= 1 << b))
+    word = planted_runs(alphabet, length, runs, len(alphabet))
+    listed = oracles.maximal_occurrences(word, Fraction(3, 2))
+    assert {(start, period, period + size) for start, period, size in runs} <= set(listed)
+    for threshold, strict in [(Fraction(3, 2), False), (Fraction(2), False), (Fraction(2), True), (SEVEN_THIRDS, False)]:
+        expected = [run for run in listed if meets(run[2], run[1], threshold, strict)]
+        assert [as_tuple(o) for o in list_repetitions(word, threshold, strict)] == expected, threshold
+        assert as_tuple(find_power(word, threshold, strict)) == (expected[0] if expected else None), threshold
+        assert is_power_free(word, threshold, plus=strict) == (not expected), threshold
+    top = min(listed, key=lambda run: (-Fraction(run[2], run[1]), run[0], run[1]))
+    exp, occ = max_exponent(word)
+    assert (exp, as_tuple(occ)) == (Fraction(top[2], top[1]), top)
+    # At 11/10 need(p) = ceil(p / 10) reaches 128 at p = 1271: a run of
+    # exactly need(1290) = 129 letters at period 1290.
+    word = planted_runs(alphabet, 1460, [(5, 1290, 129)], len(alphabet))
+    listed = oracles.maximal_occurrences(word, Fraction(11, 10))
+    for strict in (False, True):
+        expected = [run for run in listed if meets(run[2], run[1], Fraction(11, 10), strict)]
+        assert ((5, 1290, 1419) in expected) != strict
+        assert [as_tuple(o) for o in list_repetitions(word, Fraction(11, 10), strict)] == expected, strict
+
+
+# The LCE pairs that the checkpoint scan, one checkpoint every need(p)
+# letters of each period with both directions sent to the LCE, gave on
+# each of these periodic words.
+PERIODIC_LCE_PAIRS = {
+    ("0" * 4096, Fraction(2)): 20992,
+    ("01" * 2048, Fraction(2)): 10508,
+    ("0010" * 1024, SEVEN_THIRDS): 5148,
+}
+
+
+def test_periodic_words_take_few_lce_pairs(monkeypatch):
+    # A run holds up to n / step anchor windows; only the first and the
+    # last hit of its chain go to the LCE, not every anchor.
+    pairs, lce = [0], repetition._Windows.lce
+
+    def counted(windows, a, b, limit):
+        pairs[0] += a.size
+        return lce(windows, a, b, limit)
+
+    monkeypatch.setattr(repetition._Windows, "lce", counted)
+    for (word, threshold), bound in PERIODIC_LCE_PAIRS.items():
+        pairs[0] = 0
+        got = [as_tuple(o) for o in list_repetitions(word, threshold)]
+        assert got == PerPeriodScan(word, threshold).repetitions(threshold, False), word[:4]
+        assert pairs[0] <= bound, (word[:4], pairs[0])
 
 
 # --- memory and the length cap ---
@@ -588,8 +701,10 @@ def test_queries_at_the_length_cap():
         ("find_power(a, 7/3)", lambda: find_power(a, SEVEN_THIRDS), None),
         # The witness at start 0 bounds every later chunk to the first letters.
         ("find_power(a, 2+)", lambda: as_tuple(find_power(a, 2, strict=True)), (0, 4, 9)),
+        ("_square_blocks(t)", lambda: sum(positions.size for positions, _ in _square_blocks(t)), 873784),
     ]:
         start = time.perf_counter()
         assert call() == expected, name
         timings[name] = time.perf_counter() - start
+        assert timings[name] < 10, f"{name} took {timings[name]:.1f} s"
     print("2^20-letter queries:", ", ".join(f"{name} {s:.2f} s" for name, s in timings.items()))
