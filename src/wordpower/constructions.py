@@ -2,7 +2,8 @@
 
 Every infinite word is exposed as a prefix function of ``n`` with a hard
 length cap (default 2^20); all generators are prefix-consistent, so
-requesting n and then m >= n letters agrees on the first n.
+requesting n and then m >= n letters agrees on the first n.  Every step is
+one ``_morphic`` call, whose arguments state the word's defining identity.
 
 * ``word_t``: the overlap-free Thue-Morse word.
 * ``word_s``: 001001 followed by the complement of ``word_t``; still
@@ -11,8 +12,8 @@ requesting n and then m >= n letters agrees on the first n.
   grown by the recursion A_0 = 00, A_{n+1} = 0 mu^2(A_n).
 * ``word_a_automatic``: the same word as a coded fixed point (a
   4-automatic presentation); equality is a cross-check, not a definition.
-* ``word_wb``: the uncountable family steered by a bit stream, where
-  bit 0 applies mu^2 and bit 1 prepends an extra 0.
+* ``word_wb``: the uncountable family steered by a bit stream (bit 0
+  applies mu^2, bit 1 also prepends 0); ceil(log_4 n) bits fix n letters.
 * ``beta_word``: for any rational alpha > 2, a nearby beta so that the
   word is beta-plus-power-free yet starts (and keeps starting, at every
   scale) with beta powers.
@@ -31,24 +32,32 @@ from .morphism import G, H, MU
 from .words import DEFAULT_CAP, CapExceeded, check_cap, limit_prefix
 
 
+def _morphic(word: str, keep: int, k: int, head: str = "", zeros: int = 0, drop: int = 0) -> str:
+    """First ``keep`` letters of head + (mu^k(0^zeros word) minus its first
+    ``drop`` letters).  No stage outgrows them: mu^k maps a letter to 2^k, so
+    whole blocks of the drop are skipped before expanding; images are cut.
+    """
+    skip, drop = divmod(drop, 1 << k)
+    body = keep - len(head) + drop
+    end = skip - (-body >> k)
+    word = ("0" * min(zeros, end) + word)[skip:end]
+    for _ in range(k):
+        word = MU.apply(word)[:body]
+    return head + word[drop:]
+
+
 def word_t(n: int, cap: int = DEFAULT_CAP) -> str:
-    """First n letters of the Thue-Morse word 0110100110010110..."""
-    return MU.fixed_point_prefix("0", n, cap=cap)
+    """First n letters of the Thue-Morse word 0110100110010110..., t = mu(t)."""
+    return limit_prefix("0", lambda word: _morphic(word, n, 1), n, cap)
 
 
 def word_s(n: int, cap: int = DEFAULT_CAP) -> str:
     """First n letters of 001001 followed by the complemented Thue-Morse word.
 
-    The complemented word is the fixed point of mu starting with 1, so
-    each step applies mu to everything after the first six letters.
+    The complement x is the fixed point of mu from 1, and mu(001001) has 12
+    letters, so s = 001001 x is 001001 followed by mu(s) minus 12 letters.
     """
-    return limit_prefix("0010011", lambda word: word[:6] + MU.apply(word[6:]), n, cap)
-
-
-def _steer(bit: str, word: str) -> str:
-    """The bit-steered operator: 0 maps x to mu^2(x), 1 to 0 mu^2(x)."""
-    image = MU.apply(MU.apply(word))
-    return "0" + image if bit == "1" else image
+    return limit_prefix("0010011", lambda word: _morphic(word, n, 1, head="001001", drop=12), n, cap)
 
 
 def word_a_finite(level: int, cap: int = DEFAULT_CAP) -> str:
@@ -62,8 +71,8 @@ def word_a_finite(level: int, cap: int = DEFAULT_CAP) -> str:
 
 
 def word_a(n: int, cap: int = DEFAULT_CAP) -> str:
-    """First n letters of the limit of the A_k recursion."""
-    return limit_prefix("00", lambda word: _steer("1", word), n, cap)
+    """First n letters of the limit of the A_k recursion, a = 0 mu^2(a)."""
+    return limit_prefix("00", lambda word: _morphic(word, n, 2, head="0"), n, cap)
 
 
 def word_a_automatic(n: int, cap: int = DEFAULT_CAP) -> str:
@@ -79,9 +88,16 @@ def g_b(bits: str, word: str, cap: int = DEFAULT_CAP) -> str:
     the first bit acts outermost; 0 maps x to mu^2(x), 1 to 0 mu^2(x)."""
     if set(bits) - {"0", "1"}:
         raise ValueError("bits must be over 0/1")
-    check_cap(_steered_length(bits, len(word)), cap)
+    # Bit i, counted from the outermost, adds 4^i letters.
+    length = (len(word) << 2 * len(bits)) + int(bits[::-1] or "0", 4)
+    check_cap(length, cap)
+    return _steered(bits, word, length)
+
+
+def _steered(bits: str, word: str, keep: int) -> str:
+    """The bits applied innermost first, each output cut to ``keep`` letters."""
     for bit in reversed(bits):
-        word = _steer(bit, word)
+        word = _morphic(word, keep, 2, head="0" * int(bit))
     return word
 
 
@@ -108,14 +124,6 @@ def parse_bit_spec(text: str) -> BitSpec:
     return BitSpec(m.group(1), m.group(2))
 
 
-def _steered_length(bits: str, base_length: int) -> int:
-    """Length of ``g_b(bits, word)`` for a word of ``base_length`` letters."""
-    length = base_length
-    for bit in reversed(bits):
-        length = 4 * length + int(bit)
-    return length
-
-
 def word_wb(spec: str | BitSpec, n: int, cap: int = DEFAULT_CAP) -> str:
     """First n letters of the limit word steered by the bit stream.
 
@@ -126,8 +134,9 @@ def word_wb(spec: str | BitSpec, n: int, cap: int = DEFAULT_CAP) -> str:
     chain: mu^2(00) does not start with 00.  The pointwise limit of the
     00-seeded sequence is this same word.
 
-    The fewest stream bits whose word reaches n letters are applied,
-    innermost first, and every output is trimmed to n letters: both
+    Each bit at least quadruples the word and the words form a prefix
+    chain, so the first ceil(log_4 n) stream bits fix n letters.  They are
+    applied innermost first, each output trimmed to n letters: both
     operators preserve prefixes, so the trimmed words are exact.
     """
     if isinstance(spec, str):
@@ -135,13 +144,7 @@ def word_wb(spec: str | BitSpec, n: int, cap: int = DEFAULT_CAP) -> str:
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
     check_cap(n, cap)
-    k = 0
-    while _steered_length(spec.bits(k), 1) < n:
-        k += 1
-    word = "0"
-    for bit in reversed(spec.bits(k)):
-        word = _steer(bit, word)[:n]
-    return word[:n]
+    return _steered(spec.bits(max(n - 1, 0).bit_length() + 1 >> 1), "0", n)[:n]
 
 
 class BetaSearchError(ValueError):
@@ -197,20 +200,16 @@ def beta_word(params: BetaParams, n: int, cap: int = DEFAULT_CAP) -> str:
 
     Each round pads with 0^(r-2), applies the Thue-Morse morphism s
     times and drops the first t letters; the result always begins with a
-    beta power of period 2**s.  Intermediate words are trimmed to the
-    needed prefix, which the construction's prefix-consistency allows.
-    The padded word is cut too: only its first ceil(keep / 2**s) letters
-    reach the kept prefix, so a large r never builds 0^(r-2) in full.
+    beta power of period 2**s.  Every stage is trimmed to the needed
+    prefix, which the construction's prefix-consistency allows, so a
+    large r never builds 0^(r-2) in full.
     """
-    keep = max(n, 2) + params.t
 
     def round_(word: str) -> str:
-        expanded = ("0" * min(params.r - 2, keep) + word)[:keep]
-        for _ in range(params.s):
-            expanded = MU.apply(expanded)[:keep]
-        if not expanded.startswith("00", params.t):
+        word = _morphic(word, max(n, 2), params.s, zeros=params.r - 2, drop=params.t)
+        if not word.startswith("00"):
             raise RuntimeError("construction invariant broken; this is a bug")
-        return expanded[params.t :]
+        return word
 
     return limit_prefix("00", round_, n, cap)
 
@@ -229,13 +228,13 @@ def _wb_generator(name: str, cap: int) -> Callable[[int], str]:
 
 def _beta_generator(name: str, cap: int) -> Callable[[int], str]:
     parts = name.split(":")
-    if len(parts) != 3:
+    if len(parts) != 3 or not parts[2].isdecimal():
         raise UnknownGeneratorError(f"malformed beta generator {name!r}; expected 'beta:<alpha>:<s>'")
     try:
-        alpha, s = parse_exponent(parts[1]), int(parts[2])
+        alpha = parse_exponent(parts[1])
     except ValueError as exc:
         raise UnknownGeneratorError(str(exc)) from None
-    params = beta_params(alpha, s, cap=cap)
+    params = beta_params(alpha, int(parts[2]), cap=cap)
     return lambda n: beta_word(params, n, cap=cap)
 
 

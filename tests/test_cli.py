@@ -198,12 +198,13 @@ KNOWN_GENERATORS = "t, s, a, a-automatic, wb:<bits>, beta:<alpha>:<s>"
     "argv, line",
     [
         (["squares", "beta:11/5", "64"], "error: malformed beta generator 'beta:11/5'; expected 'beta:<alpha>:<s>'"),
+        (["gen", "beta:5/2:3e2", "4"], "error: malformed beta generator 'beta:5/2:3e2'; expected 'beta:<alpha>:<s>'"),
         (["squares", "wb:0(x)", "64"], "error: malformed bit spec '0(x)'; expected like '01(10)'"),
         (["squares", "0110", "5"], "error: a prefix length applies only to a generator input"),
         (["squares", "t"], "error: a generator input needs a prefix length"),
         (["gen", "nope", "3"], f"error: unknown generator 'nope'; known: {KNOWN_GENERATORS}"),
     ],
-    ids=["squares-beta", "squares-wb", "squares-word", "squares-t", "gen-nope"],
+    ids=["squares-beta", "gen-beta-s", "squares-wb", "squares-word", "squares-t", "gen-nope"],
 )
 def test_generator_input_error_lines(capsys, argv, line):
     # A malformed spec name reports its own parse error, not the length rule.

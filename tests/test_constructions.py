@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordpower import (
+    MU,
     BetaParams,
     BetaSearchError,
     BitSpec,
@@ -96,7 +98,8 @@ def test_g_b_examples():
 
 
 def test_g_b_cap():
-    with pytest.raises(CapExceeded):
+    # The message names the exact length, 2 * 4^12, not a bound on it.
+    with pytest.raises(CapExceeded, match="requested 33554432 letters, cap is 1048576"):
         g_b("0" * 12, "00", cap=1 << 20)
 
 
@@ -245,3 +248,40 @@ def test_generator_contract_at_the_cap(name):
 @given(st.integers(0, 2000))
 def test_cross_generator_agreement(n):
     assert word_a_automatic(n) == word_a(n)
+
+
+# Each generator's defining identity, stated with MU alone: applied to the
+# word's prefix, it must give that prefix back.
+IDENTITIES = {
+    "t": MU.apply,
+    "a": lambda a: "0" + MU.apply(MU.apply(a)),
+    "s": lambda s: "001001" + MU.apply(s[6:]),
+    # r = 3, s = 3, t = 5: pad with one 0, apply mu^3, drop 5 letters.
+    "beta:11/5:3": lambda b: MU.iterate("0" + b, 3)[5:],
+    # The stream 01(10) is 0 followed by the stream 1(10): bit 0 applies mu^2.
+    "wb:01(10)": lambda _: MU.apply(MU.apply(generator("wb:1(10)")(1 << 14))),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITIES)
+def test_generator_obeys_its_identity(name):
+    word = generator(name)(1 << 14)
+    assert IDENTITIES[name](word)[: 1 << 14] == word
+
+
+# Peak traced MiB while one 2^20-letter prefix is generated: 4 at most, and
+# no more than before every generator step was one _morphic call (t 1.50,
+# s 2.50, wb 2.33), each rounded up to the next 0.01 MiB.
+PEAK_MIB_AT_THE_CAP = {"t": 1.51, "s": 2.51, "a": 4, "wb:01(10)": 2.34, "beta:11/5:3": 4}
+
+
+@pytest.mark.parametrize("name", PEAK_MIB_AT_THE_CAP)
+def test_generator_peak_memory_at_the_cap(name):
+    make = generator(name)
+    tracemalloc.start()
+    try:
+        assert len(make(1 << 20)) == 1 << 20
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_MIB_AT_THE_CAP[name] * 2**20, f"{name} peaked at {peak / 2**20:.2f} MiB"

@@ -21,7 +21,8 @@
   band edges, runs that end at the end of the word and a threshold
   below 2; the LCE pairs on periodic words.
 * Memory guards at 2^14 and 2^20 letters, smallest_period in linear
-  time on 0^m 1, and the queries at the 2^20-letter cap.
+  time on 0^m 1, and the queries and the generators at the 2^20-letter
+  cap.
 """
 
 import random
@@ -702,6 +703,10 @@ def test_queries_at_the_length_cap():
         # The witness at start 0 bounds every later chunk to the first letters.
         ("find_power(a, 2+)", lambda: as_tuple(find_power(a, 2, strict=True)), (0, 4, 9)),
         ("_square_blocks(t)", lambda: sum(positions.size for positions, _ in _square_blocks(t)), 873784),
+        *[
+            (f"generate {name}", lambda name=name: len(generator(name)(1 << 20)), 1 << 20)
+            for name in ["t", "s", "a", "a-automatic", "wb:01(10)", "beta:11/5:3"]
+        ],
     ]:
         start = time.perf_counter()
         assert call() == expected, name
