@@ -13,15 +13,17 @@ strictly above 2 (such as 01010).  Thresholds come in two flavours:
 Every query derives from one primitive, :func:`_runs`: the maximal
 repetitions meeting a threshold at every period, the runs of w[i] ==
 w[i + p] of at least need(p) letters.  Periods with need(p) below
-``_CROSSOVER`` (128) are scanned directly on bit planes, a Python int a
-bit of the letter codes, 64 letters a machine word.  The others go in
-bands of needs in [d, 2d): anchors d - 63 apart put a whole 64-bit
-window (64 letters of a binary word) in each run of d letters, one
-comparison of the anchor windows with a strided view of the windows p
-letters later finds the runs of the band, and exact
-longest-common-extension (LCE) queries on the windows of the word and
-its reversal measure them.  Thresholds stay exact ``Fraction`` values:
-need(p) is integer arithmetic, the LCE a de Bruijn table.
+``_CROSSOVER`` (16), and every period of a word under ``_FLOOR`` (256)
+letters, are scanned directly on bit planes, a Python int a bit of the
+letter codes, 64 letters a machine word.  The others go in bands of
+needs in [d, 2d): anchors d - per + 1 apart put a whole anchor window of
+per = 8, 16, 32 or 64 letters (the widest with 2 per - 1 <= d that a
+64-bit window holds) in each run of d letters, one comparison of the
+anchor windows with a strided view of the windows p letters later finds
+the runs of the band, and exact longest-common-extension (LCE) queries
+on the 64-bit windows of the word and its reversal measure them.
+Thresholds stay exact ``Fraction`` values: need(p) is integer
+arithmetic, the LCE a de Bruijn table.
 
 :func:`_free_words` grows the words free of a threshold letter by letter.
 Its end test, whether a power ends at the new letter, is a step of a few
@@ -70,8 +72,14 @@ class PowerOccurrence:
 
 
 # Periods of need below this are compared with the shifted word on bit
-# planes; 128 >= 2 * 64 - 1 keeps the anchor windows of a band apart.
-_CROSSOVER = 128
+# planes; 16 >= 2 * 8 - 1 keeps the 8-letter anchor windows of the
+# lowest band apart.
+_CROSSOVER = 16
+# Words shorter than this keep the direct scan at every period: with so
+# few periods the fixed cost of the anchors (the window array, the band
+# loop, the LCE call) dominates, and a full scan of a word of 128 to 192
+# letters took 1.5-2.9x as long on them (2-vCPU host, numpy 2.4).
+_FLOOR = 256
 # Periods, windows per LCE round, (times 64) anchor windows and (times 4)
 # letters of the direct periods with runs in one chunk: the working set.
 _CHUNK = 4096
@@ -110,21 +118,30 @@ class _Windows:
     """The 64-bit window of letter codes, ``bits`` bits a letter, that
     starts at each position of a word of n letters followed by its
     reversal (from offset n).  Letters past 2n read 0; windows run across
-    the seam at n, and :meth:`lce` clips every count to its limit."""
+    the seam at n, and :meth:`lce` clips every count to its limit.  The
+    windows are little-endian, so the low bytes of each hold its first
+    letters on any host: :meth:`view` reads them zero-copy."""
 
     def __init__(self, codes: np.ndarray, letters: int):
-        bits = next(b for b in (1, 2, 4, 8) if letters <= 1 << b)
-        self.per, self.equal_letters = 64 // bits, _TRAILING_ZEROS // bits
+        self.bits = next(b for b in (1, 2, 4, 8) if letters <= 1 << b)
+        self.per, self.equal_letters = 64 // self.bits, _TRAILING_ZEROS // self.bits
         size = 2 * len(codes)
-        self.windows = np.zeros(size + 1, np.uint64)
+        self.windows = np.zeros(size + 1, "<u8")
         self.windows[: len(codes)] = codes
         self.windows[len(codes) : size] = codes[::-1]
-        for span in (1, 2, 4, 8, 16, 32)[: (64 // bits).bit_length() - 1]:
+        for span in (1, 2, 4, 8, 16, 32)[: self.per.bit_length() - 1]:
             # Ascending blocks of 2^16 read only windows that no earlier
             # block wrote, and keep the shifted copy block-sized.
             for low in range(0, size + 1 - span, 1 << 16):
                 block = self.windows[low + span : low + span + (1 << 16)]
-                self.windows[low : low + block.size] |= block << np.uint64(span * bits)
+                self.windows[low : low + block.size] |= block << np.uint64(span * self.bits)
+
+    def view(self, per: int, first: int, shape: tuple[int, ...], strides: tuple[int, ...]) -> np.ndarray:
+        """The first ``per`` letters (8 <= per <= self.per, a power of 2)
+        of the windows from position ``first`` on, ``strides`` positions
+        apart along each axis, as one unsigned int each: a strided view of
+        the window array, no copy."""
+        return np.ndarray(shape, f"<u{per * self.bits // 8}", self.windows, 8 * first, tuple(8 * s for s in strides))
 
     def _window(self, pos: np.ndarray) -> np.ndarray:
         # Positions past 2n are clipped: they only ever lie beyond the limit.
@@ -139,13 +156,15 @@ class _Windows:
         """For each i, the largest m <= limit[i] with letters a[i]..a[i]+m-1
         equal to b[i]..b[i]+m-1 of the word followed by its reversal; needs
         a[i] + limit[i] <= 2n and the same for b.  Pairs equal over their
-        first window go on in rounds of _CHUNK windows in all, each live
-        pair comparing _CHUNK // (live pairs) windows a round."""
+        first window go on in rounds, each live pair comparing as many
+        windows as the most any live pair still needs, at most _CHUNK //
+        (live pairs): at most _CHUNK windows a round in all."""
         out = self._equal(self._window(a) ^ self._window(b))
         live = np.flatnonzero((out == self.per) & (limit > self.per))
         while live.size:
-            span = max(1, _CHUNK // live.size)
-            offsets, start = np.arange(0, span * self.per, self.per), out[live]
+            start = out[live]
+            span = max(1, min(_CHUNK // live.size, -(-int((limit[live] - start).max()) // self.per)))
+            offsets = np.arange(0, span * self.per, self.per)
             diff = self._window((a[live] + start)[:, None] + offsets)
             diff ^= self._window((b[live] + start)[:, None] + offsets)
             first = (diff != 0).argmax(axis=1)
@@ -172,9 +191,11 @@ def _direct(planes: list[int], n: int, p: int, spacing: list[int], bound: int):
     """The direct scan on the bit planes of a word of n letters: the runs
     of w[i] == w[i + p + k] of at least spacing[k] letters that start at
     or before ``bound``, for p + k in turn until max(1, 4 * _CHUNK // n)
-    periods had runs (a bound below n cuts the planes), and the number of
-    periods scanned.  One unpackbits pass gives the exact int64 (starts,
-    periods, lengths): the carry of ``equal + starts`` ends past each run."""
+    periods had runs, and the number of periods scanned.  A bound below n
+    cuts the planes to the letters such a run needs, bound + p + k +
+    spacing[k] at most, the needs ascending.  One unpackbits pass gives
+    the exact int64 (starts, periods, lengths): the carry of ``equal +
+    starts`` ends past each run."""
 
     def equal_at(planes: list[int], width: int, shift: int) -> int:
         miss = 0  # bit i: letters i and i + shift differ, i < width - shift
@@ -182,7 +203,7 @@ def _direct(planes: list[int], n: int, p: int, spacing: list[int], bound: int):
             miss |= plane ^ plane >> shift
         return ~miss & ((1 << (width - shift)) - 1)
 
-    width = min(n, bound + p + len(spacing) + _CROSSOVER)
+    width = min(n, bound + p + len(spacing) + spacing[-1])
     cut = planes if width == n else [plane & ((1 << width) - 1) for plane in planes]
     keep, found = (1 << (bound + 1)) - 1 if bound < n else -1, []  # starts <= bound
     for k, d in enumerate(spacing):
@@ -207,13 +228,13 @@ def _direct(planes: list[int], n: int, p: int, spacing: list[int], bound: int):
     return k + 1, (starts.copy(), periods, periods + ends - starts)
 
 
-def _band_hits(windows: _Windows, n: int, p: int, need: np.ndarray, step: int, rows: int):
+def _band_hits(windows: _Windows, n: int, p: int, need: np.ndarray, per: int, step: int, rows: int):
     """The anchors q = step - 1, 2 step - 1, ... (``rows`` of them) whose
-    window equals the one p + k letters later in the word: int64 (q, p + k,
-    need[k], q - step if that anchor is a hit too, else -1), by period, q."""
-    per, array = windows.per, windows.windows
-    later = np.ndarray((need.size, rows), array.dtype, array, (p + step - 1) * 8, (8, step * 8))
-    equal = (later == array[step - 1 : rows * step : step]).ravel()  # row k: p + k letters on
+    first ``per`` letters equal the ``per`` letters p + k later in the
+    word: int64 (q, p + k, need[k], q - step if that anchor is a hit too,
+    else -1), by period, q.  Both sides are views of the window array."""
+    later = windows.view(per, p + step - 1, (need.size, rows), (1, step))
+    equal = (later == windows.view(per, step - 1, (rows,), (step,))).ravel()  # row k: p + k letters on
     k, j = np.divmod(equal.nonzero()[0], rows)
     q = (j + 1) * step - 1
     before = np.where((j > 0) & equal[k * rows + j - 1], q - step, -1)
@@ -225,16 +246,22 @@ def _anchor_runs(windows: _Windows, n: int, p: int, spacing: np.ndarray, bound: 
     """The number of periods scanned from p on, and the runs of at least
     ``spacing`` letters at them that start at or before ``bound`` (and
     maybe others), through the hits of bands up to 64 * _CHUNK anchor
-    windows.  One LCE batch measures the first and the last hit of each
-    chain of hits, a second any hits past the run of their chain's first;
-    a run is reported by its first anchor, the one past the anchor before."""
-    per, rows, left, hits = windows.per, 0, 64 * _CHUNK, []
-    while rows < spacing.size and left > 0:  # a band: needs in [d, 2d)
-        step = int(spacing[rows]) - per + 1
+    windows, adding no band once the chunk holds _CHUNK // 2 hits.  A band
+    of needs in [d, 2d) compares windows of the first ``per`` letters, the
+    widest power of 2 with 2 per - 1 <= d, 8 to windows.per; anchors d -
+    per + 1 apart put a whole one in every run of d letters.  One LCE
+    batch measures the first and the last hit of each chain of hits, a
+    second any hits past the run of their chain's first; a run is
+    reported by its first anchor, the one past the anchor before."""
+    rows, left, held, hits = 0, 64 * _CHUNK, 0, []
+    while rows < spacing.size and left > 0 and held < _CHUNK // 2:
+        d = int(spacing[rows])
+        per = min(windows.per, 1 << ((d + 1) // 2).bit_length() - 1)
+        step = d - per + 1
         anchors = (min(n - p - rows - per, bound + step - 1) + 1) // step
-        size = max(1, min(spacing[rows:].searchsorted(2 * spacing[rows]), left // anchors))
-        hits.append(_band_hits(windows, n, p + rows, spacing[rows : rows + size], step, anchors))
-        rows, left = rows + size, left - size * anchors
+        size = max(1, min(spacing[rows:].searchsorted(2 * d), left // anchors))
+        hits.append(_band_hits(windows, n, p + rows, spacing[rows : rows + size], per, step, anchors))
+        rows, left, held = rows + size, left - size * anchors, held + hits[-1][0].size
     q, period, need, before = map(np.concatenate, zip(*hits))
     head, index, (back, ahead) = before < 0, np.arange(q.size), np.zeros((2, q.size), np.int64)
     pick, measured = head | np.append(before[1:] != q[:-1], True), False  # chains' ends
@@ -268,7 +295,8 @@ def _runs(
     given, is read for each chunk too: the chunk then reports every run
     that starts at or before it, and may report others.
 
-    Periods with d < _CROSSOVER go to :func:`_direct`, the others to
+    Periods with d < _CROSSOVER, and every period of a word of under
+    _FLOOR letters, go to :func:`_direct`, the others to
     :func:`_anchor_runs`.  need(p) comes from a table of 2 * _CHUNK
     periods, computed again only when ``threshold()`` changes or a chunk
     would run past the table.
@@ -290,8 +318,8 @@ def _runs(
         if not spacing.size:
             return
         bound = n if last_start is None else last_start()
-        if spacing[0] < _CROSSOVER:
-            rows, runs = _direct(planes, n, p, spacing[: spacing.searchsorted(_CROSSOVER)].tolist(), bound)
+        if direct := spacing.size if n < _FLOOR else int(spacing.searchsorted(_CROSSOVER)):
+            rows, runs = _direct(planes, n, p, spacing[:direct].tolist(), bound)
         else:
             windows = windows or _Windows(codes, letters)
             rows, runs = _anchor_runs(windows, n, p, spacing, bound)

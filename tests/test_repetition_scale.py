@@ -14,15 +14,18 @@
   against the oracles and the full scan.
 * The direct scan on bit planes against the oracles: alphabets of 1 to
   5 planes, need(p) = 1, periods on both sides of the crossover, runs
-  that end at the end of the word, and find_power witnesses whose run
-  reaches past the letters a bounded scan compares.
-* The bands of anchors against the oracles: windows of 64 to 8 letters,
-  runs that just hold one anchor window, chains of hits across runs,
-  band edges, runs that end at the end of the word and a threshold
-  below 2; the LCE pairs on periodic words.
-* Memory guards at 2^14 and 2^20 letters, smallest_period in linear
-  time on 0^m 1, and the queries and the generators at the 2^20-letter
-  cap.
+  that end at the end of the word, find_power witnesses whose run
+  reaches past the letters a bounded scan compares, and words under the
+  floor, which it scans at every period.
+* The bands of anchors against the oracles: the bands from need 16, 32,
+  64 and 128 on windows of 64 to 8 letters, runs that just hold one
+  anchor window, chains of hits across runs, band edges, runs that end
+  at the end of the word and a threshold below 2; the narrower window
+  views; the LCE pairs on periodic words and the windows an LCE round
+  gathers.
+* Memory guards at 2^14 and 2^20 letters and on a periodic word of 2^16,
+  smallest_period in linear time on 0^m 1, and the queries and the
+  generators at the 2^20-letter cap.
 """
 
 import random
@@ -292,16 +295,17 @@ def test_lce_matches_letter_by_letter_count(alphabet):
 def seam_words():
     """Words that end in a palindrome, or whose reversal continues their
     period, so an LCE that ran on across the seam between the word and
-    its reversal would count letters past its end."""
-    u, v = random_word(100, 15), random_word(100, 16, "012")
+    its reversal would count letters past its end.  Each has at least
+    _FLOOR letters, so that the bands of anchors measure its long runs."""
+    u, v = random_word(130, 15), random_word(130, 16, "012")
     return {
         "u+reversal": u + u[::-1],
         "v+reversal-012": v + v[::-1],
-        "0^k 1 0^k": "0" * 100 + "1" + "0" * 100,
+        "0^k 1 0^k": "0" * 130 + "1" + "0" * 130,
         "t-4^4": word_t(4**4),
-        "(0110)^k": "0110" * 50,
-        "(00100)^k": "00100" * 40,
-        "(01210)^k": "01210" * 40,
+        "(0110)^k": "0110" * 65,
+        "(00100)^k": "00100" * 52,
+        "(01210)^k": "01210" * 52,
     }
 
 
@@ -354,14 +358,16 @@ PLANE_ALPHABETS = {"1-plane": "01", "2-planes": "0123", "3-planes": "01234", "5-
 
 
 def crossover_word(alphabet, seed):
-    """Random letters with a repetition at each period from 125 to 129,
-    around the crossover at need(p) = 128: of exponent 2 + 1/p, 2, 2 + 1/p,
-    just below 2 and 2 + 1/p again, the last ending at the end of the
-    word.  At 2+ the runs at 125 and 126 meet need(p) = p + 1 < 128 with
-    no letter to spare or miss it by one."""
-    rng = random.Random(seed)
-    out = []
-    for period, extra in ((125, 1), (126, 0), (127, 1), (128, -1), (129, 1)):
+    """Random letters with a repetition at each period from C - 3 to C + 1,
+    around the crossover at need(p) = C = _CROSSOVER: of exponent 2 + 1/p,
+    2, 2 + 1/p, just below 2 and 2 + 1/p again, the last ending at the end
+    of the word.  At 2+ the runs at C - 3 and C - 2 meet need(p) = p + 1 <
+    C with no letter to spare or miss it by one.  A random head makes the
+    word at least _FLOOR letters long, so the periods of need C and more
+    go to the anchors."""
+    rng, c = random.Random(seed), repetition._CROSSOVER
+    out = [random_word(repetition._FLOOR - 6 * c, rng.random(), alphabet)]
+    for period, extra in ((c - 3, 1), (c - 2, 0), (c - 1, 1), (c, -1), (c + 1, 1)):
         block = random_word(period, rng.random(), alphabet)
         out += [random_word(5, rng.random(), alphabet), (block * 3)[: 2 * period + extra]]
     return "".join(out)
@@ -369,17 +375,18 @@ def crossover_word(alphabet, seed):
 
 @pytest.mark.parametrize("planes", list(PLANE_ALPHABETS))
 def test_direct_scan_matches_oracle(planes):
-    alphabet = PLANE_ALPHABETS[planes]
+    alphabet, c = PLANE_ALPHABETS[planes], repetition._CROSSOVER
     word = crossover_word(alphabet, len(alphabet))
+    assert len(word) >= repetition._FLOOR
     # Every maximal run once; each threshold keeps those that meet it.
     runs = oracles.maximal_occurrences(word, Fraction(1))
-    assert any(p == 129 and start + length == len(word) for start, p, length in runs)  # ends at n - p
-    assert {period for _, period, _ in runs} >= {125, 126, 127, 128, 129}
+    assert any(p == c + 1 and start + length == len(word) for start, p, length in runs)  # ends at n - p
+    assert {period for _, period, _ in runs} >= set(range(c - 3, c + 2))
     # need(p) = 1 at every period (1+) or up to p = 1000 (1001/1000);
-    # need(p) = p + 1 is 127 at p = 126 (direct) and 128 at p = 127, and
-    # need(p) = p is 127 at p = 127 and 128 at p = 128 (checkpoints).
+    # need(p) = p + 1 is C - 1 at p = C - 2 (direct) and C at p = C - 1,
+    # and need(p) = p is C - 1 at p = C - 1 and C at p = C (anchors).
     for threshold, strict in [(Fraction(1), True), (Fraction(1001, 1000), False), (Fraction(3, 2), False),
-                              (Fraction(2), False), (Fraction(2), True), (Fraction(255, 127), False)]:
+                              (Fraction(2), False), (Fraction(2), True), (Fraction(2 * c - 1, c - 1), False)]:
         listed = [run for run in runs if meets(run[2], run[1], threshold, strict)]
         assert [as_tuple(o) for o in list_repetitions(word, threshold, strict)] == listed, threshold
         assert as_tuple(find_power(word, threshold, strict)) == (listed[0] if listed else None), threshold
@@ -393,25 +400,27 @@ def test_direct_scan_matches_oracle(planes):
 def test_find_power_witness_reaches_past_the_bound(planes):
     alphabet = PLANE_ALPHABETS[planes]
     # Past 4 * _CHUNK letters each direct chunk ends at its first period
-    # with runs.  The first finds the overlap aaa at start 10; a later one
-    # the leftmost witness, at start 1 and period 100, whose run reaches
-    # past the letters that the scan bounded by start 10 compares, about
-    # 10 + 2 * _CROSSOVER.  find_power reports its whole length.
+    # with runs.  The first finds the overlap aaa at start 6; a later one
+    # the leftmost witness, at start 1 and period 10 (need(10) < 16 at
+    # each threshold: the direct scan), whose run reaches past the letters
+    # that the scan bounded by start 6 compares: 6 + its first period (2
+    # or more) + its periods (at most 13) + its largest need (at most 15).
+    # find_power reports the run's whole length.
     rng = random.Random(len(alphabet))
     if alphabet == "01":
-        block = word_t(1024)[300:400]  # overlap-free
+        block = word_t(1024)[300:310]  # overlap-free
     else:
-        block = random_word(100, rng.random(), alphabet)
-    block = block[:9] + alphabet[0] * 3 + block[12:]
+        block = random_word(10, rng.random(), alphabet)
+    block = block[:5] + alphabet[0] * 3 + block[8:]
     head = next(a for a in alphabet if a != block[-1])
     word = head + block * 5 + block[:7] + random_word(1 << 14, rng.random(), alphabet)
     assert len(word) > 4 * repetition._CHUNK
     first = next(runs for runs in repetition._runs(word, lambda: Fraction(2), True) if runs[0].size)
-    assert 100 not in first[1]
+    assert 10 not in first[1]
     for threshold, strict in [(Fraction(2), True), (SEVEN_THIRDS, False), (Fraction(5, 2), False)]:
         got = find_power(word, threshold, strict)
         assert as_tuple(got) == oracles.find_power(word, threshold, strict), threshold
-        assert (got.start, got.period) == (1, 100) and got.end > 10 + 2 * repetition._CROSSOVER
+        assert (got.start, got.period) == (1, 10) and got.end > 6 + 2 + 13 + 15
 
 
 # --- growing power-free words letter by letter, and find_power's early exit ---
@@ -494,9 +503,9 @@ def early_exit_words():
     # The leftmost overlap, at start 1, has a period in a later chunk than
     # the 000 at start 4, which the first chunk finds: past 4 * _CHUNK
     # letters each direct chunk ends at the first period with runs.  At
-    # periods 20 and 100 on the direct path (at 100 its run reaches past
-    # the letters that the bounded scan compares), and at period 300 on
-    # the checkpoint path, past the one checkpoint of that period, at 4.
+    # periods 20, 100 and 300 on the anchor path at 2+ (at 3/2 period 20
+    # on the direct path), past the one anchor of the band of each period
+    # that the bound of start 4 leaves.
     t = word_t(1 << 15)
     for period, copies in ((20, 5), (100, 5), (300, 2)):
         v = "011000" + t[3 * period : 4 * period - 7] + "0"
@@ -526,17 +535,25 @@ def test_find_power_early_exit_finds_a_smaller_start_later():
         assert first[0].min() == 4 and period not in first[1]
 
 
+def band_width(d, alphabet="01"):
+    """The letters of the anchor windows of a band whose least need is d:
+    the widest of 8, 16, 32 and 64 with 2 per - 1 <= d that the 64-bit
+    windows of the alphabet hold."""
+    per = max(w for w in (8, 16, 32, 64) if 2 * w - 1 <= d)
+    return min(per, 64 // next(b for b in (1, 2, 4, 8) if len(alphabet) <= 1 << b))
+
+
 def test_find_power_early_exit_skips_checkpoints(monkeypatch):
     # On a random word the direct path finds a witness near 0, below every
     # anchor step, after which each band of anchor-path periods p (need(p)
     # = p + 1 >= _CROSSOVER, 2p + 1 <= n) examines one anchor row, not the
-    # (n - p - 63) // step rows that listing examines.
+    # (n - p - per + 1) // step rows that listing examines.
     word, bands = random_word(1 << 14, 14), []
     band_hits = repetition._band_hits
 
-    def spy(windows, n, p, need, step, rows):
-        bands.append((p, need.size, step, rows))
-        return band_hits(windows, n, p, need, step, rows)
+    def spy(windows, n, p, need, per, step, rows):
+        bands.append((p, need.size, per, step, rows))
+        return band_hits(windows, n, p, need, per, step, rows)
 
     monkeypatch.setattr(repetition, "_band_hits", spy)
     assert find_power(word, 2, strict=True).start < 8
@@ -546,11 +563,14 @@ def test_find_power_early_exit_skips_checkpoints(monkeypatch):
     periods = list(range(repetition._CROSSOVER - 1, (len(word) - 1) // 2 + 1))
     for scanned in (early, bands):
         # Each period once, in bands of needs in [d, 2d), d = p + 1 for the
-        # band's first period p, anchors d - 63 apart.
-        assert [p + k for p, size, _, _ in scanned for k in range(size)] == periods
-        assert all(p + size < 2 * (p + 1) and step == p + 1 - 63 for p, size, step, _ in scanned)
+        # band's first period p, anchors d - per + 1 apart, windows of per
+        # = 8, 16, 32 and 64 letters from d = 16, 31, 63 and 127.
+        assert [p + k for p, size, *_ in scanned for k in range(size)] == periods
+        assert all(p + size < 2 * (p + 1) for p, size, *_ in scanned)
+        assert all(per == band_width(p + 1) and step == p + 1 - per + 1 for p, _, per, step, _ in scanned)
+        assert {per for _, _, per, _, _ in scanned} == {8, 16, 32, 64}
     assert [rows for *_, rows in early] == [1] * len(early)
-    assert [rows for *_, rows in bands] == [(len(word) - p - 63) // step for p, _, step, _ in bands]
+    assert [rows for *_, rows in bands] == [(len(word) - p - per + 1) // step for p, _, per, step, _ in bands]
 
 
 # --- the bands of anchors ---
@@ -575,57 +595,65 @@ def planted_runs(alphabet, length, runs, seed):
     return "".join(w)
 
 
-def anchor_band_runs(per):
+def anchor_band_runs(d, per):
     """(length, runs) for :func:`planted_runs`: at 2, need(p) = p, so the
-    first band holds periods 128..255 with d = 128, anchors step - 1,
-    2 step - 1, ... with step = d - per + 1."""
-    step = 128 - per + 1
+    band from d holds periods d..2d - 1, anchors step - 1, 2 step - 1, ...
+    with step = d - per + 1 for anchor windows of ``per`` letters."""
+    step = d - per + 1
     # Each run's letters, its copy and the unequal letters around it stay
     # apart from the other runs' (the chain's two runs share one).
     tight = 2 * step  # the region's only whole anchor window ends where it ends
-    apart = -(-(tight + 258) // (step + 1)) * (step + 1)  # anchors step + 1 apart hold none
+    apart = -(-(tight + 2 * d + 2) // (step + 1)) * (step + 1)  # anchors step + 1 apart hold none
     # A chain of three hits at consecutive anchors a, a + step, a + 2 step:
-    # the first in a run of its own, the others in one run that starts
-    # just past the first's window.
-    a = -(-(apart + 319) // step) * step - 1
-    edge = a + per + 2 * step + 135
+    # the first in a run of its own, which starts less than a step before
+    # a, the others in one run that starts just past the first's window.
+    lead = d // 2 - 4
+    a = -(-(apart + 2 * d + lead + 3) // step) * step - 1
+    edge = a + per + 2 * step + d + 7
     # A region of d letters that ends at the last letter, its one anchor
     # window ending there too.
-    length = -(-(edge + 1164 - per) // step) * step + 127 + per
+    length = -(-(edge + 9 * d + 12 - per) // step) * step + d - 1 + per
     return length, [
-        (tight, 128, 128),
-        (apart, 128, 128),
-        (a - 60, 128, 60 + per),
-        (a + per + 1, 128, 2 * step + 4),
-        (edge, 255, 255),  # 2P - 1 and 2P, P = 128: both sides of a band edge
-        (edge + 520, 256, 257),
-        (length - 256, 128, 128),
+        (tight, d, d),
+        (apart, d, d),
+        (a - lead, d, lead + per),
+        (a + per + 1, d, 2 * step + 4),
+        (edge, 2 * d - 1, 2 * d - 1),  # 2d - 1 and 2d: both sides of a band edge
+        (edge + 4 * d + 8, 2 * d, 2 * d + 1),
+        (length - 2 * d, d, d),
     ]
 
 
 @pytest.mark.parametrize("windows", list(ANCHOR_ALPHABETS))
 def test_anchor_bands_match_oracle(windows):
+    # The bands from need 16, 32, 64 and 128: anchor windows of 8, 16, 32
+    # and 64 letters, at most the letters of the alphabet's 64-bit window.
     alphabet = ANCHOR_ALPHABETS[windows]
-    length, runs = anchor_band_runs(64 // next(b for b in (1, 2, 4, 8) if len(alphabet) <= 1 << b))
-    word = planted_runs(alphabet, length, runs, len(alphabet))
-    listed = oracles.maximal_occurrences(word, Fraction(3, 2))
-    assert {(start, period, period + size) for start, period, size in runs} <= set(listed)
-    for threshold, strict in [(Fraction(3, 2), False), (Fraction(2), False), (Fraction(2), True), (SEVEN_THIRDS, False)]:
-        expected = [run for run in listed if meets(run[2], run[1], threshold, strict)]
-        assert [as_tuple(o) for o in list_repetitions(word, threshold, strict)] == expected, threshold
-        assert as_tuple(find_power(word, threshold, strict)) == (expected[0] if expected else None), threshold
-        assert is_power_free(word, threshold, plus=strict) == (not expected), threshold
-    top = min(listed, key=lambda run: (-Fraction(run[2], run[1]), run[0], run[1]))
-    exp, occ = max_exponent(word)
-    assert (exp, as_tuple(occ)) == (Fraction(top[2], top[1]), top)
-    # At 11/10 need(p) = ceil(p / 10) reaches 128 at p = 1271: a run of
-    # exactly need(1290) = 129 letters at period 1290.
-    word = planted_runs(alphabet, 1460, [(5, 1290, 129)], len(alphabet))
-    listed = oracles.maximal_occurrences(word, Fraction(11, 10))
-    for strict in (False, True):
-        expected = [run for run in listed if meets(run[2], run[1], Fraction(11, 10), strict)]
-        assert ((5, 1290, 1419) in expected) != strict
-        assert [as_tuple(o) for o in list_repetitions(word, Fraction(11, 10), strict)] == expected, strict
+    for d in (16, 32, 64, 128):
+        length, runs = anchor_band_runs(d, band_width(d, alphabet))
+        word = planted_runs(alphabet, length, runs, len(alphabet))
+        assert length >= repetition._FLOOR
+        listed = oracles.maximal_occurrences(word, Fraction(3, 2))
+        assert {(start, period, period + size) for start, period, size in runs} <= set(listed), d
+        for threshold, strict in [(Fraction(3, 2), False), (Fraction(2), False), (Fraction(2), True),
+                                  (SEVEN_THIRDS, False)]:
+            expected = [run for run in listed if meets(run[2], run[1], threshold, strict)]
+            assert [as_tuple(o) for o in list_repetitions(word, threshold, strict)] == expected, (d, threshold)
+            assert as_tuple(find_power(word, threshold, strict)) == (expected[0] if expected else None), (d, threshold)
+            assert is_power_free(word, threshold, plus=strict) == (not expected), (d, threshold)
+        top = min(listed, key=lambda run: (-Fraction(run[2], run[1]), run[0], run[1]))
+        exp, occ = max_exponent(word)
+        assert (exp, as_tuple(occ)) == (Fraction(top[2], top[1]), top), d
+        # At 11/10 need(p) = ceil(p / 10) reaches d at p = 10 d - 9: a run
+        # of exactly need(10 d + 10) = d + 1 letters at period 10 d + 10,
+        # in a word of at least _FLOOR letters.
+        period = 10 * d + 10
+        word = planted_runs(alphabet, max(period + d + 42, repetition._FLOOR), [(5, period, d + 1)], len(alphabet))
+        listed = oracles.maximal_occurrences(word, Fraction(11, 10))
+        for strict in (False, True):
+            expected = [run for run in listed if meets(run[2], run[1], Fraction(11, 10), strict)]
+            assert ((5, period, period + d + 1) in expected) != strict, d
+            assert [as_tuple(o) for o in list_repetitions(word, Fraction(11, 10), strict)] == expected, (d, strict)
 
 
 # The LCE pairs that the checkpoint scan, one checkpoint every need(p)
@@ -653,6 +681,90 @@ def test_periodic_words_take_few_lce_pairs(monkeypatch):
         got = [as_tuple(o) for o in list_repetitions(word, threshold)]
         assert got == PerPeriodScan(word, threshold).repetitions(threshold, False), word[:4]
         assert pairs[0] <= bound, (word[:4], pairs[0])
+
+
+@pytest.mark.parametrize("alphabet", ["01", "0123", "0123456789abcdef", "abcdefghijklmnopq"],
+                         ids=["1-bit", "2-bit", "4-bit", "8-bit"])
+def test_narrower_views_hold_the_first_letters(alphabet):
+    # The windows are little-endian words, so the low 1, 2 or 4 bytes of
+    # each hold its first letters on any host.
+    windows = _windows(random_word(300, 17, alphabet))
+    array = windows.windows
+    assert array.dtype == np.dtype("<u8") and windows.per == 64 // windows.bits
+    for per in (8, 16, 32, 64):
+        if per <= windows.per:
+            mask = np.uint64((1 << per * windows.bits) - 1)
+            assert (windows.view(per, 0, array.shape, (1,)) == array & mask).all(), per
+            strided = windows.view(per, 5, (3, 40), (1, 7))
+            assert (strided == (array[5 : 5 + 7 * 40 + 2] & mask)[np.add.outer(np.arange(3), 7 * np.arange(40))]).all()
+
+
+def test_lce_rounds_gather_only_what_their_pairs_need(monkeypatch):
+    # 40 pairs equal far past their limits of 65 to 300 letters: each
+    # round gathers ceil(most letters still needed / 64) windows a pair,
+    # not _CHUNK // 40.
+    gathered, window = [0], repetition._Windows._window
+
+    def counted(windows, pos):
+        gathered[0] += pos.size
+        return window(windows, pos)
+
+    monkeypatch.setattr(repetition._Windows, "_window", counted)
+    rng = random.Random(18)
+    windows = _windows("0" * 4096)
+    a = np.array([rng.randrange(2000) for _ in range(40)])
+    limit = np.array([rng.randrange(65, 301) for _ in range(40)])
+    assert windows.lce(a, a + 1, limit).tolist() == limit.tolist()
+    assert gathered[0] <= 2 * 40 * (1 + -(-300 // 64)), gathered[0]
+
+
+def test_short_words_keep_the_direct_scan(monkeypatch):
+    # Under _FLOOR letters every period goes to the direct scan: no window
+    # array, no band of anchors.  At _FLOOR letters the anchors start.
+    built, bands = [], []
+    windows_class, band_hits = repetition._Windows, repetition._band_hits
+
+    def spy_windows(*args):
+        built.append(args)
+        return windows_class(*args)
+
+    def spy_bands(*args):
+        bands.append(args)
+        return band_hits(*args)
+
+    monkeypatch.setattr(repetition, "_Windows", spy_windows)
+    monkeypatch.setattr(repetition, "_band_hits", spy_bands)
+    floor = repetition._FLOOR
+    for word in [random_word(floor - 1, 19), word_t(floor - 1), "0" * (floor - 1), random_word(200, 20, "012")]:
+        for threshold, strict in [(Fraction(3, 2), False), (Fraction(2), False), (Fraction(2), True),
+                                  (SEVEN_THIRDS, False), (Fraction(3), False)]:
+            list_repetitions(word, threshold, strict)
+            find_power(word, threshold, strict)
+            is_power_free(word, threshold, plus=strict)
+        max_exponent(word)
+    assert built == [] and bands == []
+    list_repetitions(random_word(floor, 19), 2)
+    assert built and bands
+
+
+def test_direct_cut_covers_the_largest_need():
+    # "1" 0^254 at 3: cubes at every period p <= 84, all from start 1.  The
+    # first chunk ends after 4 * _CHUNK // 255 = 64 periods with runs; the
+    # next, bounded by that witness at 1, holds periods whose need 2p runs
+    # to 168 letters, far past the 16 of the crossover, so its planes must
+    # be cut past 1 + p + its periods + its largest need.
+    word, threshold, witness = "1" + "0" * 254, Fraction(3), [None]
+    assert len(word) < repetition._FLOOR
+    chunks = []
+    for runs in repetition._runs(word, lambda: threshold, False, lambda: len(word) if witness[0] is None else witness[0]):
+        chunks.append(sorted(zip(*(column.tolist() for column in runs))))
+        if runs[0].size and witness[0] is None:
+            witness[0] = int(runs[0].min())
+    listed = oracles.maximal_occurrences(word, threshold)
+    assert witness[0] == 1 and [period for _, period, _ in chunks[0]] == list(range(1, 65))
+    later = [run for run in listed if run[1] > 64 and run[0] <= witness[0]]
+    assert later == [(1, p, 254) for p in range(65, 85)]
+    assert sorted(run for chunk in chunks[1:] for run in chunk if run[0] <= witness[0]) == later
 
 
 # --- memory and the length cap ---
@@ -690,7 +802,22 @@ def test_kernel_peak_memory_on_t_2_20():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    print(f"is_power_free(t 2^20, 2+) traced peak {peak / 2**20:.2f} MiB")
     assert peak < 28 << 20, f"peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_kernel_peak_memory_on_a_periodic_word():
+    # Every anchor of 0^n is a hit at every period: a chunk stops taking
+    # bands at _CHUNK // 2 hits.
+    word = "0" * (1 << 16)
+    tracemalloc.start()
+    try:
+        list_repetitions(word, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f'list_repetitions("0" * 2^16, 2) traced peak {peak / 2**20:.2f} MiB')
+    assert peak < 20 << 20, f"peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_queries_at_the_length_cap():
