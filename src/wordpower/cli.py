@@ -41,8 +41,9 @@ _LITERAL_WORD_RE = re.compile(r"[01]+")
 # A word file may end in a line break ("\r\n" at most) beyond its letters.
 _LINE_BREAK_BYTES = 2
 
-# `squares` writes its lines in batches of this many: few enough that a
-# batch of long squares stays small next to the square arrays.
+# `squares` writes its lines in batches of this many, one join and one
+# write a batch: few enough that a batch of long squares stays small next
+# to the square arrays.
 _SQUARES_BATCH = 1024
 
 USAGE_ERROR = 2
@@ -148,13 +149,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _membership_tail(membership: AtlasMembership, json_mode: bool) -> str:
-    """The family/level/base end of a `squares` line."""
+    """The end of a `squares` line from the separator after the square:
+    family, level, base and the line break."""
     if json_mode:
         report = {"family": membership.family, "level": membership.level, "base": membership.base}
-        return json.dumps(report, separators=(",", ":"))[1:]
+        return f'",{json.dumps(report, separators=(",", ":"))[1:]}\n'
     if not membership.in_atlas:
-        return "family=-"
-    return f"family={membership.family} level={membership.level} base={membership.base}"
+        return " family=-\n"
+    return f" family={membership.family} level={membership.level} base={membership.base}\n"
 
 
 def _cmd_squares(args: argparse.Namespace) -> int:
@@ -170,28 +172,27 @@ def _cmd_squares(args: argparse.Namespace) -> int:
     from .atlas import NOT_IN_ATLAS, _atlas_halves, _square_blocks
 
     # The word is 0/1 only (parsed or generated), so a square needs no JSON
-    # escaping and each line is a template; the membership tails are
-    # formatted once per half length.
-    if args.json:
-        line = '{"kind":"membership","position":%d,"square":"%s",%s\n'
-    else:
-        line = "pos=%d square=%s %s\n"
+    # escaping and each line is one f-string: head, position, middle,
+    # square, tail.  The tails of a half length are prepared once, by the
+    # first block that brings it; only the half lengths with atlas halves
+    # (2^k and 3 * 2^k) look their half up, and every other line ends in
+    # `outside`.
+    head, middle = ('{"kind":"membership","position":', ',"square":"') if args.json else ("pos=", " square=")
     outside = _membership_tail(NOT_IN_ATLAS, args.json)
-    tails_by_length: dict[int, dict[str, str]] = {}
+    seen: set[int] = set()
+    tails: dict[int, dict[str, str]] = {}  # half length -> atlas half -> tail
     for positions, halves in _square_blocks(word):
+        for h in set(halves.tolist()) - seen:
+            seen.add(h)
+            if members := _atlas_halves(h):
+                tails[h] = {x: _membership_tail(m, args.json) for x, m in members.items()}
         for first in range(0, len(positions), _SQUARES_BATCH):
-            lines = []
             batch = slice(first, first + _SQUARES_BATCH)
-            for i, h in zip(positions[batch].tolist(), halves[batch].tolist()):
-                tails = tails_by_length.get(h)
-                if tails is None:
-                    tails = tails_by_length[h] = {
-                        half: _membership_tail(membership, args.json)
-                        for half, membership in _atlas_halves(h).items()
-                    }
-                tail = tails.get(word[i : i + h], outside) if tails else outside
-                lines.append(line % (i, word[i : i + 2 * h], tail))
-            sys.stdout.write("".join(lines))
+            sys.stdout.write("".join([
+                f"{head}{i}{middle}{word[i : i + 2 * h]}"
+                f"{tails[h].get(word[i : i + h], outside) if h in tails else outside}"
+                for i, h in zip(positions[batch].tolist(), halves[batch].tolist())
+            ]))
     return 0
 
 
@@ -264,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cap_value(text: str) -> int:
     """Parse a length cap from --cap or WORDPOWER_CAP; argparse reports a
     rejected value as a usage error."""
-    if not text.strip().isdecimal() or int(text) < 1:
+    if not (text.strip().isdecimal() and text.isascii()) or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"cap (--cap or WORDPOWER_CAP) must be a positive integer, got {text!r}"
         )

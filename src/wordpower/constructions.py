@@ -228,7 +228,7 @@ def _wb_generator(name: str, cap: int) -> Callable[[int], str]:
 
 def _beta_generator(name: str, cap: int) -> Callable[[int], str]:
     parts = name.split(":")
-    if len(parts) != 3 or not parts[2].isdecimal():
+    if len(parts) != 3 or not (parts[2].isdecimal() and parts[2].isascii()):
         raise UnknownGeneratorError(f"malformed beta generator {name!r}; expected 'beta:<alpha>:<s>'")
     try:
         alpha = parse_exponent(parts[1])

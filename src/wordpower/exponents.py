@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_EXPONENT_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+_EXPONENT_RE = re.compile(r"^(\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_exponent(text: str) -> Fraction:

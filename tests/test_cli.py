@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -5,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import oracles
-from wordpower import cli, generator, squares_in, word_t
+from wordpower import atlas, cli, generator, squares_in, word_t
 from wordpower.cli import main
 
 
@@ -54,16 +57,19 @@ def test_cap_env_override(capsys, monkeypatch):
     assert code == 0 and len(out.strip()) == 100
 
 
-@pytest.mark.parametrize("argv", [["--cap", "0"], ["--cap", "-5"], ["--cap", "abc"]])
+# "\uff11\uff16" is a full-width 16, "\u0663" an Arabic-Indic 3: digits to
+# str.isdecimal, not to the cap.
+@pytest.mark.parametrize("argv", [["--cap", "0"], ["--cap", "-5"], ["--cap", "abc"], ["--cap", "\uff11\uff16"]])
 def test_bad_cap_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main([*argv, "gen", "t", "4"])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "cap" in err and "Traceback" not in err
+    assert f"must be a positive integer, got {argv[1]!r}" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "\uff11\uff16", "1\u0663"])
 def test_bad_cap_env_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("WORDPOWER_CAP", value)
     with pytest.raises(SystemExit) as info:
@@ -120,8 +126,11 @@ def test_check_malformed_inputs(capsys):
         (["check", "0011", "2/0"], "error: malformed exponent '2/0'; zero denominator"),
         (["factorize", "00110011", "--threshold", "x"], "error: malformed exponent 'x'; expected 'p/q' or 'n'"),
         (["beta", "x", "3"], "error: malformed exponent 'x'; expected 'p/q' or 'n'"),
+        (["check", "0110", "\u0663"], "error: malformed exponent '\u0663'; expected 'p/q' or 'n'"),
+        (["check", "0110", "7/\u0663+"], "error: malformed exponent '7/\u0663'; expected 'p/q' or 'n'"),
+        (["beta", "\uff11\uff11/5", "3"], "error: malformed exponent '\uff11\uff11/5'; expected 'p/q' or 'n'"),
     ],
-    ids=["check-x", "check-1/2", "check-2/0", "factorize-x", "beta-x"],
+    ids=["check-x", "check-1/2", "check-2/0", "factorize-x", "beta-x", "check-arabic-3", "check-7/arabic-3+", "beta-fullwidth"],
 )
 def test_malformed_exponent_error_lines(capsys, argv, line):
     assert run_cli(capsys, *argv) == (2, "", line + "\n")
@@ -199,12 +208,13 @@ KNOWN_GENERATORS = "t, s, a, a-automatic, wb:<bits>, beta:<alpha>:<s>"
     [
         (["squares", "beta:11/5", "64"], "error: malformed beta generator 'beta:11/5'; expected 'beta:<alpha>:<s>'"),
         (["gen", "beta:5/2:3e2", "4"], "error: malformed beta generator 'beta:5/2:3e2'; expected 'beta:<alpha>:<s>'"),
+        (["gen", "beta:5/2:\u0663", "4"], "error: malformed beta generator 'beta:5/2:\u0663'; expected 'beta:<alpha>:<s>'"),
         (["squares", "wb:0(x)", "64"], "error: malformed bit spec '0(x)'; expected like '01(10)'"),
         (["squares", "0110", "5"], "error: a prefix length applies only to a generator input"),
         (["squares", "t"], "error: a generator input needs a prefix length"),
         (["gen", "nope", "3"], f"error: unknown generator 'nope'; known: {KNOWN_GENERATORS}"),
     ],
-    ids=["squares-beta", "gen-beta-s", "squares-wb", "squares-word", "squares-t", "gen-nope"],
+    ids=["squares-beta", "gen-beta-s", "gen-beta-arabic-s", "squares-wb", "squares-word", "squares-t", "gen-nope"],
 )
 def test_generator_input_error_lines(capsys, argv, line):
     # A malformed spec name reports its own parse error, not the length rule.
@@ -271,6 +281,71 @@ def test_squares_output_covers_every_kind_of_line(capsys):
     assert {row["family"] for row in json_lines(out)} == {"A", "B"}
     _, out, _ = run_cli(capsys, "squares", "00110011")
     assert "pos=0 square=00110011 family=-\n" in out
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize(
+    "word, later_halves",
+    [("0" * 40, False), ("01" * 20, False), ("001001" + word_t(58), True)],
+    ids=["0^40", "(01)^20", "001001t"],
+)
+def test_squares_output_across_blocks(capsys, monkeypatch, word, later_halves, json_mode):
+    # Blocks of about 5 squares (one position at least) in batches of 7
+    # lines; a half length that first appears after the first block needs
+    # its tails prepared then.
+    monkeypatch.setattr(atlas, "_SQUARES_BLOCK", 5)
+    monkeypatch.setattr(cli, "_SQUARES_BATCH", 7)
+    first, *later = [set(halves.tolist()) for _, halves in atlas._square_blocks(word)]
+    assert len(later) > 3
+    assert (not set().union(*later) <= first) == later_halves
+    code, out, err = run_cli(capsys, *(["--json"] if json_mode else []), "squares", word)
+    assert (code, err) == (0, "")
+    assert out == per_line_squares_stdout(word, json_mode)
+
+
+class CountingSink(io.TextIOBase):
+    """stdout replacement that keeps only a byte count and a sha256."""
+
+    def __init__(self):
+        self.bytes = 0
+        self.sha256 = hashlib.sha256()
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        data = text.encode("ascii")
+        self.bytes += len(data)
+        self.sha256.update(data)
+        return len(text)
+
+
+def test_squares_at_the_length_cap():
+    sink = CountingSink()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(sink):
+        code = main(["--json", "squares", "t", str(1 << 20)])
+    seconds = time.perf_counter() - start
+    print(f"--json squares t 2^20: {sink.bytes:,} bytes in {seconds:.2f} s")
+    assert (code, sink.bytes) == (0, 97_521_923)
+    assert sink.sha256.hexdigest() == "003d8fd2f3744276f90dbcafddedbf6e5dd3a4dfa505330e13cbb0239d95ad06"
+    assert seconds < 10, f"took {seconds:.1f} s"
+
+
+def test_squares_emit_peak_memory():
+    # 90,000 squares of up to 600 letters, 20 MB of lines, in two blocks:
+    # a batch of lines is small next to the block's arrays (3.06 MiB in
+    # all), a whole block or the whole output joined at once is not.
+    with contextlib.redirect_stdout(CountingSink()):
+        main(["squares", "0" * 16])  # the modules' own allocations come first
+        tracemalloc.start()
+        try:
+            assert main(["squares", "0" * 600]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    print(f"squares 0^600 traced peak {peak / 2**20:.2f} MiB")
+    assert peak < 4 << 20, f"peaked at {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize(
