@@ -18,6 +18,7 @@ sufficiently long extension, which the bounded depth-first search
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,12 @@ class AtlasMembership:
 NOT_IN_ATLAS = AtlasMembership(None, None, None)
 
 
+@functools.cache
+def _t_block(level: int) -> str:
+    """mu^level(0), the first 2^level letters of t."""
+    return MU.iterate("0", level, cap=1 << level)
+
+
 def _atlas_halves(half_length: int) -> dict[str, AtlasMembership]:
     """The halves x of the atlas squares xx with |x| = half_length, each
     with the membership of xx.
@@ -61,10 +68,10 @@ def _atlas_halves(half_length: int) -> dict[str, AtlasMembership]:
     that fits the length contribute: at most four halves, each y with its
     letters replaced by mu^k(0) and its complement mu^k(1).
     """
-    if half_length < 1:
-        return {}
     level = (half_length & -half_length).bit_length() - 1
-    image = MU.iterate("0", level, cap=half_length)
+    if level < 0 or half_length >> level not in (1, 3):
+        return {}
+    image = _t_block(level)
     mu_level = str.maketrans({"0": image, "1": complement(image)})
     return {
         base[: len(base) // 2].translate(mu_level): AtlasMembership(family, level, base)

@@ -11,6 +11,7 @@ exceeded.  The env var WORDPOWER_CAP overrides the default length cap;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -173,17 +174,14 @@ def _cmd_squares(args: argparse.Namespace) -> int:
 
     # The word is 0/1 only (parsed or generated), so a square needs no JSON
     # escaping and each line is one f-string: head, position, middle,
-    # square, tail.  The tails of a half length are prepared once, by the
-    # first block that brings it; only the half lengths with atlas halves
-    # (2^k and 3 * 2^k) look their half up, and every other line ends in
-    # `outside`.
+    # square, tail.  The tails of a half length with atlas halves (2^k and
+    # 3 * 2^k) are prepared by the first block that brings it; every other
+    # line ends in `outside`.
     head, middle = ('{"kind":"membership","position":', ',"square":"') if args.json else ("pos=", " square=")
     outside = _membership_tail(NOT_IN_ATLAS, args.json)
-    seen: set[int] = set()
     tails: dict[int, dict[str, str]] = {}  # half length -> atlas half -> tail
     for positions, halves in _square_blocks(word):
-        for h in set(halves.tolist()) - seen:
-            seen.add(h)
+        for h in set(halves.tolist()) - tails.keys():
             if members := _atlas_halves(h):
                 tails[h] = {x: _membership_tail(m, args.json) for x, m in members.items()}
         for first in range(0, len(positions), _SQUARES_BATCH):
@@ -262,13 +260,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-def _cap_value(text: str) -> int:
-    """Parse a length cap from --cap or WORDPOWER_CAP; argparse reports a
-    rejected value as a usage error."""
-    if not (text.strip().isdecimal() and text.isascii()) or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"cap (--cap or WORDPOWER_CAP) must be a positive integer, got {text!r}"
-        )
+def _integer(name: str, least: int, text: str) -> int:
+    """An integer argument of at least ``least`` (0 or 1) in ASCII digits:
+    int() alone takes any Unicode digit, "_" and a sign.  argparse reports
+    a rejected value as a usage error."""
+    if not (text.strip().isdecimal() and text.isascii()) or int(text) < least:
+        kind = "positive" if least else "nonnegative"
+        raise argparse.ArgumentTypeError(f"{name} must be a {kind} integer, got {text!r}")
     return int(text)
 
 
@@ -282,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON lines")
     parser.add_argument(
         "--cap",
-        type=_cap_value,
+        type=functools.partial(_integer, "cap (--cap or WORDPOWER_CAP)", 1),
         default=default_cap,
         help=f"word length cap (default {default_cap}, env WORDPOWER_CAP)",
     )
@@ -290,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="print a prefix of a named infinite word")
     p.add_argument("name", help=_GENERATOR_NAMES)
-    p.add_argument("length", type=int)
+    p.add_argument("length", type=functools.partial(_integer, "length", 0))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="test power-freeness of a word")
@@ -301,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("squares", help="list square occurrences with atlas classification")
     p.add_argument("input", help="word, @file, file path, or generator name")
-    p.add_argument("length", type=int, nargs="?", help="prefix length for generators")
+    p.add_argument("length", type=functools.partial(_integer, "length", 0), nargs="?", help="prefix length for generators")
     p.set_defaults(func=_cmd_squares)
 
     p = sub.add_parser("factorize", help="short-edge factorizations of a power-free word")
@@ -311,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beta", help="compute beta-power construction parameters")
     p.add_argument("alpha", help="rational above 2, like 11/5")
-    p.add_argument("s", type=int, help="morphism iteration depth, at least 3")
+    p.add_argument("s", type=functools.partial(_integer, "s", 0), help="morphism iteration depth, at least 3")
     p.set_defaults(func=_cmd_beta)
 
     p = sub.add_parser("verify", help="run named verification suites")

@@ -250,8 +250,8 @@ def _anchor_runs(windows: _Windows, n: int, p: int, spacing: np.ndarray, bound: 
     of needs in [d, 2d) compares windows of the first ``per`` letters, the
     widest power of 2 with 2 per - 1 <= d, 8 to windows.per; anchors d -
     per + 1 apart put a whole one in every run of d letters.  One LCE
-    batch measures the first and the last hit of each chain of hits, a
-    second any hits past the run of their chain's first; a run is
+    batch measures the first hit of each chain of hits, both ways, and a
+    second the hits past the run of their chain's first; a run is
     reported by its first anchor, the one past the anchor before."""
     rows, left, held, hits = 0, 64 * _CHUNK, 0, []
     while rows < spacing.size and left > 0 and held < _CHUNK // 2:
@@ -264,7 +264,7 @@ def _anchor_runs(windows: _Windows, n: int, p: int, spacing: np.ndarray, bound: 
         rows, left, held = rows + size, left - size * anchors, held + hits[-1][0].size
     q, period, need, before = map(np.concatenate, zip(*hits))
     head, index, (back, ahead) = before < 0, np.arange(q.size), np.zeros((2, q.size), np.int64)
-    pick, measured = head | np.append(before[1:] != q[:-1], True), False  # chains' ends
+    pick, measured = head, False
     while pick.any():
         at, shift = q[pick], period[pick]
         back[pick], ahead[pick] = windows.lce(
@@ -437,14 +437,6 @@ def _end_runs(word: str) -> np.ndarray:
     n = len(word)
     periods = np.arange(1, n + 1, dtype=np.int64)
     return _windows(word).lce(np.full(n, n, np.int64), n + periods, n - periods)
-
-
-def _ends_in_power(word: str, threshold: Fraction | int, plus: bool) -> bool:
-    """Whether a power that meets the threshold ends at the last letter of
-    ``word``: whether some run(p) reaches need(p).  A power in a word that
-    its prefix lacks ends there."""
-    n = len(word)
-    return bool((_end_runs(word) >= _need(_as_threshold(threshold), plus, 1, n + 1, n)).any())
 
 
 def _pack(values: np.ndarray, width: int) -> int:

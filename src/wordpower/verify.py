@@ -37,7 +37,7 @@ from .constructions import (
     word_t,
 )
 from .morphism import F, G, H, MU, descend_power, factorize
-from .repetition import _ends_in_power, _free_words, is_power_free, list_repetitions, max_exponent
+from .repetition import PowerOccurrence, _free_words, is_power_free, list_repetitions, max_exponent
 from .words import conjugates, enumerate_words
 
 SEVEN_THIRDS = Fraction(7, 3)
@@ -289,16 +289,17 @@ def _check_word_a_profile() -> tuple[bool, str]:
 def _check_bit_steered_family() -> tuple[bool, str]:
     """Finite form of the uncountable-family argument: short bit strings
     give 7/3-power-free words, sibling outputs are prefix-incompatible,
-    and a trailing 1 bit plants an overlap at the end."""
+    and a trailing 1 bit plants an overlap at the end: 0 0110 0110 = g_1(00)
+    scaled by mu^2 for each of the k bits before it, period 4^(k+1)."""
     bit_strings = _all_words(4)
-    planted = [g_b(bits + "1", "00") for bits in bit_strings]
-    for bits, word in zip(bit_strings, planted):
+    for bits in bit_strings:
         if not is_power_free(g_b(bits, "00"), SEVEN_THIRDS):
             return False, f"g_{bits or 'e'}(00) is not 7/3-power-free"
         left, right = g_b(bits + "0", "0"), g_b(bits + "1", "0")
         if left.startswith(right) or right.startswith(left):
             return False, f"prefix incompatibility fails after {bits!r}"
-        if not _ends_in_power(word, 2, True):
+        word, scale = g_b(bits + "1", "00"), 4 ** len(bits)
+        if not PowerOccurrence(len(word) - 9 * scale, 4 * scale, 9 * scale).is_valid_in(word):
             return False, f"g_{bits + '1'}(00) does not end with an overlap"
     return True, f"{len(bit_strings)} bit strings checked"
 

@@ -69,6 +69,28 @@ def test_bad_cap_flag_is_usage_error(capsys, argv):
     assert f"must be a positive integer, got {argv[1]!r}" in err
 
 
+# int() takes any Unicode digit, "_" between digits and a sign; the
+# lengths and s take ASCII digits only, as the cap does.
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["gen", "t", "\u0663"], "wordpower gen: error: argument length: length must be a nonnegative integer, got '\u0663'"),
+        (["gen", "t", "\uff11\uff16"], "wordpower gen: error: argument length: length must be a nonnegative integer, got '\uff11\uff16'"),
+        (["gen", "t", "1_0"], "wordpower gen: error: argument length: length must be a nonnegative integer, got '1_0'"),
+        (["gen", "t", "+3"], "wordpower gen: error: argument length: length must be a nonnegative integer, got '+3'"),
+        (["squares", "t", "\u0668"], "wordpower squares: error: argument length: length must be a nonnegative integer, got '\u0668'"),
+        (["beta", "11/5", "\u0663"], "wordpower beta: error: argument s: s must be a nonnegative integer, got '\u0663'"),
+    ],
+    ids=["gen-arabic-3", "gen-fullwidth-16", "gen-underscore", "gen-plus", "squares-arabic-8", "beta-arabic-s"],
+)
+def test_integer_positionals_take_ascii_digits_only(capsys, argv, usage):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ") and err.endswith(f"\n{usage}\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "\uff11\uff16", "1\u0663"])
 def test_bad_cap_env_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("WORDPOWER_CAP", value)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from wordpower import (
     MU,
     BetaParams,
@@ -18,6 +20,7 @@ from wordpower import (
     g_b,
     generator,
     is_power_free,
+    list_repetitions,
     parse_bit_spec,
     word_a,
     word_a_automatic,
@@ -101,6 +104,21 @@ def test_g_b_cap():
     # The message names the exact length, 2 * 4^12, not a bound on it.
     with pytest.raises(CapExceeded, match="requested 33554432 letters, cap is 1048576"):
         g_b("0" * 12, "00", cap=1 << 20)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_trailing_one_bit_plants_the_only_overlap_at_the_end(k):
+    # g_1(00) = 0 0110 0110 is an overlap of period 4; each of the k bits
+    # before the 1 scales it by mu^2, so it ends as the last 9 * 4^k
+    # letters at period 4^(k+1).  The uncount suite checks it by slicing.
+    for bits in map("".join, itertools.product("01", repeat=k)):
+        word = g_b(bits + "1", "00")
+        planted = [(len(word) - 9 * 4**k, 4 ** (k + 1), 9 * 4**k)]
+        ending = [occ for occ in list_repetitions(word, 2, strict=True) if occ.end == len(word)]
+        assert [(occ.start, occ.period, occ.length) for occ in ending] == planted, bits
+        if k <= 1:
+            occurrences = oracles.maximal_occurrences(word, Fraction(2), strict=True)
+            assert [occ for occ in occurrences if occ[0] + occ[2] == len(word)] == planted, bits
 
 
 def test_bit_spec_parsing():

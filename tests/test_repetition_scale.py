@@ -9,9 +9,8 @@
   a period past the need table that a raised threshold starts.
 * The power-free words that verify grows letter by letter
   (``_free_words``) against is_power_free, at periods past one chunk and
-  from a long start word; the one-shot end-of-word test
-  (``_ends_in_power``) against the oracles; and find_power's early exit
-  against the oracles and the full scan.
+  from a long start word; and find_power's early exit against the
+  oracles and the full scan.
 * The direct scan on bit planes against the oracles: alphabets of 1 to
   5 planes, need(p) = 1, periods on both sides of the crossover, runs
   that end at the end of the word, find_power witnesses whose run
@@ -51,7 +50,7 @@ from wordpower import (
 )
 from wordpower import repetition
 from wordpower.atlas import _square_blocks, max_overlap_free_extension
-from wordpower.repetition import _ends_in_power, _free_words, _windows
+from wordpower.repetition import _free_words, _windows
 
 THRESHOLDS = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(19, 8), Fraction(5, 2), Fraction(3)]
 SEVEN_THIRDS = Fraction(7, 3)
@@ -458,21 +457,13 @@ def test_power_free_words_match_is_power_free(threshold, plus):
         assert free[n] == [w for w in children if is_power_free(w, threshold, plus)], n
 
 
-def test_ends_in_power_matches_maximal_occurrences():
-    for w in oracles.all_binary_words(12):
-        ending = any(start + length == len(w) for start, _, length in oracles.maximal_occurrences(w, SEVEN_THIRDS))
-        assert _ends_in_power(w, SEVEN_THIRDS, False) == ending, w
-
-
-def test_ends_in_power_sees_periods_beyond_one_chunk():
+def test_overlaps_that_end_the_word_beyond_one_chunk():
     # The only overlap that ends at the last letter has period 5000, above
     # the _CHUNK = 4096 periods that one chunk of _runs covers.
     x = word_t(1 << 14)[5:5005]
     word = x + x + x[0]
     ending = [occ for occ in list_repetitions(word, 2, strict=True) if occ.end == len(word)]
     assert [(occ.start, occ.period) for occ in ending] == [(0, 5000)]
-    assert _ends_in_power(word, 2, True)
-    assert not _ends_in_power(word[:-1], 2, True)
     # The grower from a free start: the prefix of t that ends with the
     # square mu^11(010010), 6144 letters a half, at 15 * 2^11.  Appending
     # the first letter of the half makes an overlap of period 6144 and of
@@ -656,19 +647,20 @@ def test_anchor_bands_match_oracle(windows):
             assert [as_tuple(o) for o in list_repetitions(word, Fraction(11, 10), strict)] == expected, (d, strict)
 
 
-# The LCE pairs that the checkpoint scan, one checkpoint every need(p)
-# letters of each period with both directions sent to the LCE, gave on
-# each of these periodic words.
+# For each of these periodic words: the LCE pairs that the checkpoint
+# scan gave (one checkpoint every need(p) letters of each period, both
+# directions sent to the LCE), and the pairs of the anchors, whose first
+# LCE batch measures only the first hit of each chain of hits.
 PERIODIC_LCE_PAIRS = {
-    ("0" * 4096, Fraction(2)): 20992,
-    ("01" * 2048, Fraction(2)): 10508,
-    ("0010" * 1024, SEVEN_THIRDS): 5148,
+    ("0" * 4096, Fraction(2)): (20992, 4066),
+    ("01" * 2048, Fraction(2)): (10508, 2034),
+    ("0010" * 1024, SEVEN_THIRDS): (5148, 872),
 }
 
 
 def test_periodic_words_take_few_lce_pairs(monkeypatch):
-    # A run holds up to n / step anchor windows; only the first and the
-    # last hit of its chain go to the LCE, not every anchor.
+    # A run holds up to n / step anchor windows; only the first hit of its
+    # chain goes to the LCE, one pair each way, not every anchor.
     pairs, lce = [0], repetition._Windows.lce
 
     def counted(windows, a, b, limit):
@@ -676,11 +668,13 @@ def test_periodic_words_take_few_lce_pairs(monkeypatch):
         return lce(windows, a, b, limit)
 
     monkeypatch.setattr(repetition._Windows, "lce", counted)
-    for (word, threshold), bound in PERIODIC_LCE_PAIRS.items():
+    for (word, threshold), (checkpoints, heads) in PERIODIC_LCE_PAIRS.items():
         pairs[0] = 0
         got = [as_tuple(o) for o in list_repetitions(word, threshold)]
         assert got == PerPeriodScan(word, threshold).repetitions(threshold, False), word[:4]
-        assert pairs[0] <= bound, (word[:4], pairs[0])
+        print(f"list_repetitions of {word[:4]!r}... ({len(word)} letters) at {threshold}: {pairs[0]} LCE pairs")
+        assert pairs[0] <= checkpoints, (word[:4], pairs[0])
+        assert pairs[0] <= heads, (word[:4], pairs[0])
 
 
 @pytest.mark.parametrize("alphabet", ["01", "0123", "0123456789abcdef", "abcdefghijklmnopq"],
