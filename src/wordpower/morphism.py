@@ -121,7 +121,7 @@ def descend_power(word: str, occurrence: PowerOccurrence) -> PowerOccurrence:
 
     if occurrence.period % 2:
         raise ValueError("occurrence period must be even")
-    if occurrence.exponent <= 2:
+    if occurrence.length <= 2 * occurrence.period:
         raise ValueError("occurrence exponent must exceed 2")
     image = MU.apply(word)
     if not occurrence.is_valid_in(image):

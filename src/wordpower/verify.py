@@ -17,7 +17,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
+
+import numpy as np
 
 from .atlas import (
     atlas_members,
@@ -103,6 +106,14 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
     whole group holds iff that preimage exists and equals y[:k]; suffixes
     alike with y[-k:] and mu(y)[-2k:].  Both premises are checked first,
     and the detail counts the 2^k pairs each group decides.
+
+    For each |y| = n and k, the 2^n groups are decided at once on
+    integers.  Word i of the enumeration is coded as i + 1: a 1 bit, then
+    one bit a letter.  Its image is a 1 bit, then two bits a letter: the
+    letter's rank among the at most 4 letters of mu(0) and mu(1).  The
+    leading 1 keeps words of different lengths apart.  A right shift keeps
+    the first k letters, a mask and a new leading 1 the last k, and each
+    image factor is found among the sorted image codes by binary search.
     """
     words = _all_words(10)
     images = [MU.apply(w) for w in words]
@@ -113,26 +124,44 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
     if len(preimage) < len(words):
         w, other = next((w, preimage[im]) for w, im in zip(words, images) if preimage[im] != w)
         return False, f"mu is not injective: mu({w!r}) = mu({other!r})"
-    per_length, pairs = Counter(len(w) for w in words), 0
-    for y, my in zip(words, images):
-        for k in range(len(y) + 1):
+    digits = str.maketrans({letter: str(r) for r, letter in enumerate(sorted(set(images[1] + images[2])))})
+    image_codes = np.array([int("1" + image.translate(digits), 4) for image in images])
+    order = np.argsort(image_codes)
+    ranked = image_codes[order]
+    pairs = 0
+    for n in range(11):
+        y_codes = np.arange(1 << n, 2 << n)
+        my_codes = image_codes[y_codes - 1]
+        failures = []
+        for k in range(n + 1):
             for side, x, image in (
-                ("prefix", y[:k], my[: 2 * k]),
-                ("suffix", y[len(y) - k :], my[len(my) - 2 * k :]),
+                ("prefix", y_codes >> n - k, my_codes >> 4 * (n - k)),
+                ("suffix", y_codes & (1 << k) - 1 | 1 << k, my_codes & (1 << 4 * k) - 1 | 1 << 4 * k),
             ):
-                got = preimage.get(image)
-                if got != x:
-                    x = x if got is None else got
-                    return False, f"{side} transport fails for x={x!r} y={y!r}"
-            pairs += per_length[k]
+                at = np.minimum(np.searchsorted(ranked, image), len(ranked) - 1)
+                found = ranked[at] == image
+                shown = np.where(found, order[at] + 1, x)
+                fails = ~found | (shown != x)
+                if fails.any():
+                    i = int(fails.argmax())
+                    failures.append((y_codes[i], k, side, words[shown[i] - 1]))
+            pairs += len(y_codes) << k
+        if failures:
+            # In the order of a loop by y, then k, then prefix ("prefix" <
+            # "suffix") before suffix.
+            y, _, side, x = min(failures)
+            return False, f"{side} transport fails for x={x!r} y={words[y - 1]!r}"
     return True, f"{pairs} ordered pairs checked"
 
 
 @_suite("shur")
 def _check_freeness_transport() -> tuple[bool, str]:
-    """w is 7/3-power-free iff mu(w) is; exhaustive up to length 12."""
+    """w is 7/3-power-free iff mu(w) is; exhaustive up to length 12.  The
+    images are built as concatenations of mu(0) and mu(1), in the order of
+    the words, so mu is applied to its two letters only."""
     words = _all_words(12)
-    images = [MU.apply(w) for w in words]
+    letter_images = (MU.apply("0"), MU.apply("1"))
+    images = [image for n in range(13) for image in map("".join, product(letter_images, repeat=n))]
     free = set(_free_words("", SEVEN_THIRDS, False, max(map(len, words + images))))
     for w, image in zip(words, images):
         if (w in free) != (image in free):
