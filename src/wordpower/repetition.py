@@ -293,7 +293,8 @@ def _runs(
     again for each chunk, so a caller may raise it as it goes; a chunk
     may then hold runs below the raised threshold.  ``last_start()``, when
     given, is read for each chunk too: the chunk then reports every run
-    that starts at or before it, and may report others.
+    that starts at or before it, and may report others; a ``last_start()``
+    below 0 ends the scan.
 
     Periods with d < _CROSSOVER, and every period of a word of under
     _FLOOR letters, go to :func:`_direct`, the others to
@@ -305,7 +306,7 @@ def _runs(
     codes, letters = _ranks(word)
     bits = range(max(1, (letters - 1).bit_length()))  # bit i of plane b: bit b of code i
     planes = [int.from_bytes(np.packbits(codes & 1 << b, bitorder="little"), "little") for b in bits]
-    while p < n:
+    while p < n and (bound := n if last_start is None else last_start()) >= 0:
         thr = threshold()
         if thr != table_thr or stop < min(p + _CHUNK, n):
             # need(p) for two chunks of periods, and p + need(p).
@@ -317,7 +318,6 @@ def _runs(
         spacing = spacing[: ends[p - base : p - base + spacing.size].searchsorted(n, side="right")]
         if not spacing.size:
             return
-        bound = n if last_start is None else last_start()
         if direct := spacing.size if n < _FLOOR else int(spacing.searchsorted(_CROSSOVER)):
             rows, runs = _direct(planes, n, p, spacing[:direct].tolist(), bound)
         else:
@@ -407,8 +407,8 @@ def find_power(
         return PowerOccurrence(0, 1, len(word) - len(word.lstrip(word[0])))
     best = None
     # After a witness at start s, later chunks (larger periods) only need
-    # the runs that start at or before s.
-    for runs in _runs(word, lambda: thr, strict, lambda: len(word) if best is None else best[0]):
+    # the runs that start before s; a witness at start 0 ends the scan.
+    for runs in _runs(word, lambda: thr, strict, lambda: len(word) if best is None else best[0] - 1):
         if runs[0].size:
             found = _leftmost(*runs)
             best = found if best is None else min(best, found)

@@ -103,17 +103,15 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
     a prefix of y, namely y[:k].  When mu is injective and 2-uniform on
     the domain, mu(x) has length 2k, so exactly the x with mu(x) =
     mu(y)[:2k] has mu(x) a prefix of mu(y), and there is at most one.  The
-    whole group holds iff that preimage exists and equals y[:k]; suffixes
-    alike with y[-k:] and mu(y)[-2k:].  Both premises are checked first,
-    and the detail counts the 2^k pairs each group decides.
+    whole group holds iff that preimage exists and equals y[:k], that is,
+    iff mu(y[:k]) = mu(y)[:2k]; suffixes alike with mu(y[-k:]) =
+    mu(y)[-2k:].  Both premises are checked first, and the detail counts
+    the 2^k pairs each group decides.
 
-    For each |y| = n and k, the 2^n groups are decided at once on
-    integers.  Word i of the enumeration is coded as i + 1: a 1 bit, then
-    one bit a letter.  Its image is a 1 bit, then two bits a letter: the
-    letter's rank among the at most 4 letters of mu(0) and mu(1).  The
-    leading 1 keeps words of different lengths apart.  A right shift keeps
-    the first k letters, a mask and a new leading 1 the last k, and each
-    image factor is found among the sorted image codes by binary search.
+    The images of the 2^n words of length n are one (2^n, 2n) array of
+    code points, one a letter whatever the letters, so one comparison a k
+    and side decides 2^n groups: word i's image against the k-letter
+    image at index i >> (n - k) (prefix) or i & (2^k - 1) (suffix).
     """
     words = _all_words(10)
     images = [MU.apply(w) for w in words]
@@ -124,33 +122,25 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
     if len(preimage) < len(words):
         w, other = next((w, preimage[im]) for w, im in zip(words, images) if preimage[im] != w)
         return False, f"mu is not injective: mu({w!r}) = mu({other!r})"
-    digits = str.maketrans({letter: str(r) for r, letter in enumerate(sorted(set(images[1] + images[2])))})
-    image_codes = np.array([int("1" + image.translate(digits), 4) for image in images])
-    order = np.argsort(image_codes)
-    ranked = image_codes[order]
+    # The words of length n are words[2^n - 1 : 2^(n+1) - 1].
+    rows = [images[(1 << n) - 1 : (2 << n) - 1] for n in range(11)]
+    rows = [np.frombuffer("".join(row).encode("utf-32-le"), np.uint32).reshape(len(row), -1) for row in rows]
     pairs = 0
-    for n in range(11):
-        y_codes = np.arange(1 << n, 2 << n)
-        my_codes = image_codes[y_codes - 1]
-        failures = []
-        for k in range(n + 1):
-            for side, x, image in (
-                ("prefix", y_codes >> n - k, my_codes >> 4 * (n - k)),
-                ("suffix", y_codes & (1 << k) - 1 | 1 << k, my_codes & (1 << 4 * k) - 1 | 1 << 4 * k),
-            ):
-                at = np.minimum(np.searchsorted(ranked, image), len(ranked) - 1)
-                found = ranked[at] == image
-                shown = np.where(found, order[at] + 1, x)
-                fails = ~found | (shown != x)
-                if fails.any():
-                    i = int(fails.argmax())
-                    failures.append((y_codes[i], k, side, words[shown[i] - 1]))
-            pairs += len(y_codes) << k
-        if failures:
-            # In the order of a loop by y, then k, then prefix ("prefix" <
-            # "suffix") before suffix.
-            y, _, side, x = min(failures)
-            return False, f"{side} transport fails for x={x!r} y={words[y - 1]!r}"
+    for n, my in enumerate(rows):
+        i = np.arange(1 << n)
+        # Column 2k + side: the first True is the first failure of a loop
+        # by y, then k, then prefix before suffix.
+        fails = np.stack([
+            (rows[k][at] != my[:, cut]).any(axis=1)
+            for k in range(n + 1)
+            for at, cut in ((i >> n - k, slice(2 * k)), (i & (1 << k) - 1, slice(2 * (n - k), None)))
+        ], axis=1)
+        if fails.any():
+            j, column = divmod(int(fails.argmax()), 2 * n + 2)
+            (k, suffix), y, image = divmod(column, 2), words[(1 << n) - 1 + j], images[(1 << n) - 1 + j]
+            part, x = (image[2 * (n - k) :], y[n - k :]) if suffix else (image[: 2 * k], y[:k])
+            return False, f"{('prefix', 'suffix')[suffix]} transport fails for x={preimage.get(part, x)!r} y={y!r}"
+        pairs += (1 << n) * ((2 << n) - 1)
     return True, f"{pairs} ordered pairs checked"
 
 

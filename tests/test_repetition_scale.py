@@ -10,7 +10,7 @@
 * The power-free words that verify grows letter by letter
   (``_free_words``) against is_power_free, at periods past one chunk and
   from a long start word; and find_power's early exit against the
-  oracles and the full scan.
+  oracles and the full scan, and its end at a witness at start 0.
 * The direct scan on bit planes against the oracles: alphabets of 1 to
   5 planes, need(p) = 1, periods on both sides of the crossover, runs
   that end at the end of the word, find_power witnesses whose run
@@ -23,14 +23,15 @@
   views; the LCE pairs on periodic words and the windows an LCE round
   gathers.
 * Memory guards at 2^14 and 2^20 letters and on a periodic word of 2^16,
-  smallest_period in linear time on 0^m 1, and the queries and the
-  generators at the 2^20-letter cap.
+  smallest_period in linear time on 0^m 1, and the queries, the
+  witnesses at start 0 and the generators at the 2^20-letter cap.
 """
 
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -526,6 +527,37 @@ def test_find_power_early_exit_finds_a_smaller_start_later():
         assert first[0].min() == 4 and period not in first[1]
 
 
+def test_find_power_ends_the_scan_at_a_witness_at_start_0(monkeypatch):
+    # t opens with the overlap 01101 (start 0, period 3), so no chunk past
+    # the one that yields it can hold a witness that starts before it; a
+    # scan that went on would take all 8,192 chunks of this word.
+    chunks, runs = [0], repetition._runs
+
+    def counted(*args):
+        for chunk in runs(*args):
+            chunks[0] += 1
+            yield chunk
+
+    monkeypatch.setattr(repetition, "_runs", counted)
+    assert as_tuple(find_power(word_t(1 << 14), 1, strict=True)) == (0, 3, 5)
+    assert chunks[0] <= 2, chunks[0]
+
+
+def start_0_words():
+    rng = random.Random(25)
+    yield from (w for n in range(13) for w in map("".join, product("01", repeat=n)))
+    yield from (random_word(200, rng.random()) for _ in range(200))
+    yield from ("1" + "0" * k for k in (1, 5, 300, 5000))
+    yield from ("10" * k + "1" for k in (1, 5, 300, 5000))
+
+
+@pytest.mark.parametrize("threshold, strict", [(Fraction(1), True), (Fraction(1001, 1000), False)], ids=["1+", "1001/1000"])
+def test_find_power_below_2_matches_oracle(threshold, strict):
+    # The witness at these thresholds mostly starts at 0 or 1.
+    for word in start_0_words():
+        assert as_tuple(find_power(word, threshold, strict)) == oracles.find_power(word, threshold, strict), word
+
+
 def band_width(d, alphabet="01"):
     """The letters of the anchor windows of a band whose least need is d:
     the widest of 8, 16, 32 and 64 with 2 per - 1 <= d that the 64-bit
@@ -812,6 +844,22 @@ def test_kernel_peak_memory_on_a_periodic_word():
         tracemalloc.stop()
     print(f'list_repetitions("0" * 2^16, 2) traced peak {peak / 2**20:.2f} MiB')
     assert peak < 20 << 20, f"peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_find_power_at_the_cap_stops_at_start_0():
+    # Each direct chunk past 4 * _CHUNK letters stops at its first period
+    # with runs; a scan that went on after the witness at start 0 decoded
+    # all n bits a chunk, for minutes at this length.
+    timings = {}
+    for name, word, threshold, strict, expected in [
+        ("find_power(t, 1+)", word_t(1 << 20), 1, True, (0, 3, 5)),
+        ("find_power(0^n, 2)", "0" * (1 << 20), 2, False, (0, 1, 1 << 20)),
+    ]:
+        start = time.perf_counter()
+        assert as_tuple(find_power(word, threshold, strict)) == expected, name
+        timings[name] = time.perf_counter() - start
+        assert timings[name] < 1, f"{name} took {timings[name]:.2f} s"
+    print("2^20-letter witnesses at start 0:", ", ".join(f"{name} {s:.3f} s" for name, s in timings.items()))
 
 
 def test_queries_at_the_length_cap():

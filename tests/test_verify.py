@@ -113,10 +113,12 @@ def _freeness_by_word(apply):
     return (True, "8191 words checked") if first is None else (False, f"freeness transport fails for {first!r}")
 
 
-RELABELLED_MU = [{"0": "10", "1": "01"}, {"0": "ab", "1": "ba"}]
+# The last has letters of two UTF-8 bytes: a comparison of image bytes
+# would see 4 bytes where it expects 2 letters.
+RELABELLED_MU = [{"0": "10", "1": "01"}, {"0": "ab", "1": "ba"}, {"0": "αβ", "1": "βα"}]
 
 
-@pytest.mark.parametrize("images", RELABELLED_MU, ids=["swapped", "relabelled"])
+@pytest.mark.parametrize("images", RELABELLED_MU, ids=["swapped", "relabelled", "non-ascii"])
 def test_tmmorph_passes_on_relabelled_mu(monkeypatch, images):
     monkeypatch.setattr(verify, "MU", Morphism(images))
     result = verify.run_suite("tmmorph")
@@ -126,11 +128,15 @@ def test_tmmorph_passes_on_relabelled_mu(monkeypatch, images):
 # 2-uniform and injective, so both premises hold, but not morphisms.  The
 # first group that fails has a prefix and a suffix that fail (reversed),
 # only a suffix that fails (running xor), or an image factor that is no
-# image at all (first letter doubled).
+# image at all (first letter doubled).  The last two are mu but on the
+# 10-letter words, where the image is reversed (a prefix fails) or the
+# last letter complemented first (only a suffix fails).
 NOT_MORPHISMS = {
     "reversed": lambda w: MU.apply(w[::-1]),
     "running xor": lambda w: MU.apply("".join(str(w[: i + 1].count("1") % 2) for i in range(len(w)))),
     "first letter doubled": lambda w: w[:1] * 2 + MU.apply(w[1:]),
+    "image reversed at 10": lambda w: MU.apply(w)[:: -1 if len(w) == 10 else 1],
+    "last letter complemented at 10": lambda w: MU.apply(w[:-1] + "10"[int(w[-1])] if len(w) == 10 else w),
 }
 
 
@@ -143,10 +149,21 @@ def test_tmmorph_names_the_group_the_loop_names_first(monkeypatch, apply):
     assert (result.passed, result.detail) == expected
 
 
+@pytest.mark.parametrize("name, side", [("image reversed at 10", "prefix"), ("last letter complemented at 10", "suffix")])
+def test_tmmorph_decides_the_longest_words(monkeypatch, name, side):
+    # The pair count alone cannot show that the last length is decided.
+    apply = NOT_MORPHISMS[name]
+    monkeypatch.setattr(verify, "MU", SimpleNamespace(apply=apply))
+    expected = (False, f"{side} transport fails for x='1' y='0000000000'")
+    assert _transport_by_group(apply) == expected
+    result = verify.run_suite("tmmorph")
+    assert (result.passed, result.detail) == expected
+
+
 # mu swapped and relabelled, and a morphism whose verdict names another
 # word when its two letter images trade places.
 @pytest.mark.parametrize(
-    "images", [*RELABELLED_MU, {"0": "0", "1": "001"}], ids=["swapped", "relabelled", "asymmetric"]
+    "images", [*RELABELLED_MU, {"0": "0", "1": "001"}], ids=["swapped", "relabelled", "non-ascii", "asymmetric"]
 )
 def test_shur_matches_per_word_apply(monkeypatch, images):
     morphism = Morphism(images)
