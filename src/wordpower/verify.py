@@ -1,10 +1,10 @@
 """Named verification suites, each re-checking one structural guarantee
 by brute force at desk scale: exhaustive enumeration of words up to 12
 letters and of squares up to 24 letters, scans of prefixes up to
-4^7 = 16,384 letters, extension search capped at 256 letters.  The
-suites that need the power-free words among all words of a length
-(shur, fact, conj, main) grow them letter by letter
-(``repetition._free_words``) instead of scanning all 2^n.
+4^7 = 16,384 letters, 256-letter extensions found in witness words or by
+search.  Suites that need the power-free words of a length (shur, fact,
+conj, main) grow them letter by letter (``repetition._free_words``);
+stronger and uncount scan their words joined, a kernel call per 126 words.
 
 Every suite returns (passed, detail); :func:`run_suite` adds timing.
 Suite names are stable CLI surface; :func:`suite_names` lists them.
@@ -37,13 +37,15 @@ from .constructions import (
     word_a,
     word_a_automatic,
     word_a_finite,
+    word_s,
     word_t,
 )
 from .morphism import F, G, H, MU, descend_power, factorize
 from .repetition import PowerOccurrence, _free_words, is_power_free, list_repetitions, max_exponent
-from .words import conjugates, enumerate_words
+from .words import complement, conjugates, enumerate_words
 
 SEVEN_THIRDS = Fraction(7, 3)
+_SEPARATORS = [chr(c) for c in range(128) if chr(c) not in "01"]  # not in binary words
 
 
 @dataclass
@@ -84,6 +86,21 @@ def _all_words(max_length: int) -> list[str]:
     out: list[str] = []
     for n in range(max_length + 1):
         out.extend(enumerate_words(n))
+    return out
+
+
+def _repetitions_by_word(words: list[str], threshold: Fraction | int, strict: bool) -> list[list[PowerOccurrence]]:
+    """``list_repetitions`` of each binary word, one kernel call per 126 words joined, each
+    ended by a separator no run holds: at exponent >= 2 each letter of a run recurs p away in it."""
+    if threshold < 2:
+        raise ValueError(f"threshold {threshold} is below 2: runs can cross the separators")
+    out: list[list[PowerOccurrence]] = [[] for _ in words]
+    for first in range(0, len(words), len(_SEPARATORS)):
+        chunk = words[first : first + len(_SEPARATORS)]
+        offsets = np.cumsum([0] + [len(w) + 1 for w in chunk]).tolist()
+        runs = list_repetitions("".join(map("".join, zip(chunk, _SEPARATORS))), threshold, strict)
+        for occ, i in zip(runs, np.searchsorted(offsets, [occ.start for occ in runs], "right").tolist()):
+            out[first + i - 1].append(PowerOccurrence(occ.start - offsets[i - 1], occ.period, occ.length))
     return out
 
 
@@ -147,10 +164,14 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
 @_suite("shur")
 def _check_freeness_transport() -> tuple[bool, str]:
     """w is 7/3-power-free iff mu(w) is; exhaustive up to length 12.  The
-    images are built as concatenations of mu(0) and mu(1), in the order of
-    the words, so mu is applied to its two letters only."""
+    images join mu(0) and mu(1), letters renamed 0, 1 by first appearance
+    (freeness is kept), in word order, so mu is applied to its two letters."""
     words = _all_words(12)
     letter_images = (MU.apply("0"), MU.apply("1"))
+    letters = "".join(dict.fromkeys("".join(letter_images)))
+    if len(letters) > 2:
+        return False, f"mu's images use {len(letters)} letters"
+    letter_images = [image.translate(str.maketrans(letters, "01"[: len(letters)])) for image in letter_images]
     images = [image for n in range(13) for image in map("".join, product(letter_images, repeat=n))]
     free = set(_free_words("", SEVEN_THIRDS, False, max(map(len, words + images))))
     for w, image in zip(words, images):
@@ -162,16 +183,16 @@ def _check_freeness_transport() -> tuple[bool, str]:
 @_suite("stronger")
 def _check_power_descent() -> tuple[bool, str]:
     """Every even-period repetition above exponent 2 in mu(w) descends to
-    one in w with half the period and at least half the length."""
+    one in w with half the period and at least half the length.  The 301
+    images are scanned in three kernel calls (:func:`_repetitions_by_word`)."""
     rng = random.Random(0x5EED)
     descents = 0
     words = ["1000"] + [
         "".join(rng.choice("01") for _ in range(rng.randrange(2, 48)))
         for _ in range(300)
     ]
-    for w in words:
-        image = MU.apply(w)
-        for occ in list_repetitions(image, 2, strict=True):
+    for w, runs in zip(words, _repetitions_by_word([MU.apply(w) for w in words], 2, True)):
+        for occ in runs:
             if occ.period % 2:
                 continue
             got = descend_power(w, occ)
@@ -259,16 +280,17 @@ def _check_blocked_extensions() -> tuple[bool, str]:
 @_suite("main")
 def _check_extendability_dichotomy() -> tuple[bool, str]:
     """Among overlap-free squares of length <= 16, atlas membership is
-    equivalent to reaching the length-256 search horizon."""
-    checked = 0
-    for of_half in _overlap_free_squares(8)[1:]:
-        for square in of_half:
-            in_atlas = atlas_membership(square).in_atlas
-            reached = max_overlap_free_extension(square, 256) == 256
-            if in_atlas != reached:
-                return False, f"dichotomy fails for {square!r}"
-            checked += 1
-    return True, f"{checked} overlap-free squares classified"
+    equivalent to reaching the length-256 search horizon, which a square at
+    i <= |w| - 256 in an overlap-free witness w (s, mu(s) and complements,
+    made from t, not the atlas) reaches; the search runs for the rest."""
+    bases = (word_s(512), MU.apply(word_s(256)))
+    witnesses = [w for b in bases for w in (b, complement(b)) if is_power_free(w, 2, plus=True)]
+    squares = [square for of_half in _overlap_free_squares(8)[1:] for square in of_half]
+    for square in squares:
+        found = any(0 <= w.find(square) <= len(w) - 256 for w in witnesses)
+        if atlas_membership(square).in_atlas != (found or max_overlap_free_extension(square, 256) == 256):
+            return False, f"dichotomy fails for {square!r}"
+    return True, f"{len(squares)} overlap-free squares classified"
 
 
 @_suite("finite-overlaps")
@@ -309,10 +331,12 @@ def _check_bit_steered_family() -> tuple[bool, str]:
     """Finite form of the uncountable-family argument: short bit strings
     give 7/3-power-free words, sibling outputs are prefix-incompatible,
     and a trailing 1 bit plants an overlap at the end: 0 0110 0110 = g_1(00)
-    scaled by mu^2 for each of the k bits before it, period 4^(k+1)."""
+    scaled by mu^2 for each of the k bits before it, period 4^(k+1).  One
+    kernel call scans the 31 words (:func:`_repetitions_by_word`)."""
     bit_strings = _all_words(4)
-    for bits in bit_strings:
-        if not is_power_free(g_b(bits, "00"), SEVEN_THIRDS):
+    powers = _repetitions_by_word([g_b(bits, "00") for bits in bit_strings], SEVEN_THIRDS, False)
+    for bits, found in zip(bit_strings, powers):
+        if found:
             return False, f"g_{bits or 'e'}(00) is not 7/3-power-free"
         left, right = g_b(bits + "0", "0"), g_b(bits + "1", "0")
         if left.startswith(right) or right.startswith(left):

@@ -7,10 +7,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they appear (without -s pytest shows them for failing tests only).
 """
 
+import json
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 from wordpower import (
@@ -35,8 +37,11 @@ SUITES = {
     12: {"automatic": "presentation, length law, forbidden pairs and recursion hold"},
     13: {"beta": "reference exact; 20 random draws within bound (3 rejected)"},
 }
-# Suites that no criterion runs; tests/test_verify.py still runs them.
+# Suites that no criterion runs; tests/test_verify.py still runs them, and
+# test_every_suite_reports_its_stored_answer pins their details.
 NO_CRITERION = {"stronger"}
+# The benchmark's stored answers, among them the detail of every suite.
+ANSWERS = Path(__file__).resolve().parents[1] / "perfbench" / "answers.json"
 
 
 def report(number, name, ok, note=""):
@@ -144,3 +149,14 @@ def test_every_suite_has_a_criterion_or_is_listed_without_one():
     run = {name for suites in SUITES.values() for name in suites}
     assert not run & NO_CRITERION
     assert run | NO_CRITERION == set(verify.suite_names())
+
+
+def test_every_suite_reports_its_stored_answer():
+    stored = json.loads(ANSWERS.read_text())["verify"]
+    assert sorted(stored) == sorted(verify.suite_names())
+    for suites in SUITES.values():
+        for name, detail in suites.items():
+            assert stored[name] == detail, name
+    for name, detail in stored.items():
+        result = verify.run_suite(name)
+        assert (result.passed, result.detail) == (True, detail), name

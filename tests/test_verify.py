@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from wordpower import MU, Morphism, enumerate_words, is_power_free, verify
+from wordpower import MU, Morphism, enumerate_words, is_power_free, list_repetitions, verify, word_s
+from wordpower.atlas import atlas_membership, max_overlap_free_extension
 from wordpower.repetition import _free_words
+from wordpower.words import complement
 
 
 def test_suite_registry_is_complete_and_ordered():
@@ -26,7 +29,7 @@ def test_suite_registry_is_complete_and_ordered():
     ]
 
 
-# Every suite is cheap enough for tier-1: a round of all 14 takes about 0.1–0.2 s.
+# Every suite is cheap enough for tier-1: a round of all 14 takes about 0.07–0.1 s.
 @pytest.mark.parametrize("name", verify.suite_names())
 def test_cheap_suites_pass(name):
     result = verify.run_suite(name)
@@ -105,9 +108,12 @@ def _transport_by_group(apply):
 
 
 def _freeness_by_word(apply):
-    """shur's verdict with one ``apply`` call a word."""
+    """shur's verdict with one ``apply`` call a word, the image letters
+    renamed 0 and 1 in order of first appearance in mu(0) mu(1)."""
     words = _words(12)
-    images = [apply(w) for w in words]
+    letters = "".join(dict.fromkeys(apply("0") + apply("1")))
+    rename = str.maketrans(letters, "01"[: len(letters)])
+    images = [apply(w).translate(rename) for w in words]
     free = set(_free_words("", Fraction(7, 3), False, max(map(len, words + images))))
     first = next((w for w, image in zip(words, images) if (w in free) != (image in free)), None)
     return (True, "8191 words checked") if first is None else (False, f"freeness transport fails for {first!r}")
@@ -172,6 +178,19 @@ def test_shur_matches_per_word_apply(monkeypatch, images):
     assert (result.passed, result.detail) == _freeness_by_word(morphism.apply)
 
 
+@pytest.mark.parametrize("images", RELABELLED_MU, ids=["swapped", "relabelled", "non-ascii"])
+def test_shur_passes_on_relabelled_mu(monkeypatch, images):
+    monkeypatch.setattr(verify, "MU", Morphism(images))
+    result = verify.run_suite("shur")
+    assert (result.passed, result.detail) == (True, "8191 words checked")
+
+
+def test_shur_names_an_image_alphabet_of_three_letters(monkeypatch):
+    monkeypatch.setattr(verify, "MU", Morphism({"0": "ab", "1": "ca"}))
+    result = verify.run_suite("shur")
+    assert (result.passed, result.detail) == (False, "mu's images use 3 letters")
+
+
 def test_shur_applies_mu_to_its_two_letters_only(monkeypatch):
     calls = []
     apply = Morphism.apply
@@ -184,3 +203,119 @@ def test_shur_applies_mu_to_its_two_letters_only(monkeypatch):
     result = verify.run_suite("shur")
     assert (result.passed, result.detail) == (True, "8191 words checked")
     assert sorted(calls) == ["0", "1"]
+
+
+def _stronger_images(monkeypatch):
+    """The words ``stronger`` hands to ``_repetitions_by_word``."""
+    seen = []
+    by_word = verify._repetitions_by_word
+
+    def spy(words, threshold, strict):
+        seen.append(words)
+        return by_word(words, threshold, strict)
+
+    monkeypatch.setattr(verify, "_repetitions_by_word", spy)
+    assert verify.run_suite("stronger").passed
+    (images,) = seen
+    return images
+
+
+def _random_words():
+    rng = random.Random(0x5E9A)
+    return ["".join(rng.choice("01") for _ in range(rng.randrange(80))) for _ in range(500)]
+
+
+WORD_LISTS = {
+    "stronger images": _stronger_images,
+    "random": lambda monkeypatch: _random_words(),
+    "more words than separators": lambda monkeypatch: ["0110"] * 300,
+    "periodic": lambda monkeypatch: [w * k for k in range(200) for w in ("0", "01")],
+}
+THRESHOLDS = [(2, False), (2, True), (Fraction(7, 3), False), (Fraction(5, 2), False)]
+
+
+@pytest.mark.parametrize("threshold, strict", THRESHOLDS, ids=["2", "2+", "7/3", "5/2"])
+@pytest.mark.parametrize("make", WORD_LISTS.values(), ids=WORD_LISTS)
+def test_repetitions_by_word_matches_per_word_listing(monkeypatch, make, threshold, strict):
+    words = make(monkeypatch)
+    expected = [list_repetitions(w, threshold, strict) for w in words]
+    assert verify._repetitions_by_word(words, threshold, strict) == expected
+
+
+def test_repetitions_by_word_refuses_thresholds_below_2():
+    # At 3/2 runs cross the separator x of 0110 x 0110: 0x0 at period 2
+    # and 0110x0110 at period 5.
+    with pytest.raises(ValueError, match="below 2"):
+        verify._repetitions_by_word(["0110"] * 300, Fraction(3, 2), False)
+
+
+@pytest.mark.parametrize("suite, calls", [("stronger", 3), ("uncount", 1)])
+def test_suites_scan_their_words_in_few_kernel_calls(monkeypatch, suite, calls):
+    seen = []
+
+    def spy(word, threshold, strict=False):
+        seen.append(word)
+        return list_repetitions(word, threshold, strict)
+
+    monkeypatch.setattr(verify, "list_repetitions", spy)
+    result = verify.run_suite(suite)
+    assert result.passed, result.detail
+    assert len(seen) == calls
+
+
+def _squares():
+    return [square for of_half in verify._overlap_free_squares(8)[1:] for square in of_half]
+
+
+def _spy_on_search(monkeypatch):
+    searched = []
+
+    def spy(word, cap):
+        searched.append(word)
+        return max_overlap_free_extension(word, cap)
+
+    monkeypatch.setattr(verify, "max_overlap_free_extension", spy)
+    return searched
+
+
+def test_main_searches_only_outside_the_atlas(monkeypatch):
+    searched = _spy_on_search(monkeypatch)
+    result = verify.run_suite("main")
+    assert (result.passed, result.detail) == (True, "34 overlap-free squares classified")
+    outside = [square for square in _squares() if not atlas_membership(square).in_atlas]
+    assert len(outside) == 18
+    assert searched == outside
+
+
+def test_main_witnesses_agree_with_the_search():
+    bases = (word_s(512), MU.apply(word_s(256)))
+    witnesses = [w for base in bases for w in (base, complement(base))]
+    assert all(is_power_free(w, 2, plus=True) for w in witnesses)
+    for square in _squares():
+        found = any(0 <= w.find(square) <= len(w) - 256 for w in witnesses)
+        assert found == (max_overlap_free_extension(square, 256) == 256), square
+
+
+def test_main_fails_on_a_square_the_atlas_wrongly_admits(monkeypatch):
+    def membership(square):
+        if square == "00110011":
+            return SimpleNamespace(in_atlas=True, family="A")
+        return atlas_membership(square)
+
+    monkeypatch.setattr(verify, "atlas_membership", membership)
+    result = verify.run_suite("main")
+    assert (result.passed, result.detail) == (False, "dichotomy fails for '00110011'")
+
+
+# 0^n and mu(0^n) = (01)^n both hold overlaps, as do their complements;
+# s and mu(s) cut to 128 letters hold no square 256 letters before an end.
+WITNESS_STAND_INS = {"not overlap-free": lambda n: "0" * n, "too short": lambda n: word_s(n // 4)}
+
+
+@pytest.mark.parametrize("stand_in", WITNESS_STAND_INS.values(), ids=WITNESS_STAND_INS)
+def test_main_searches_when_the_witnesses_cannot_decide(monkeypatch, stand_in):
+    monkeypatch.setattr(verify, "word_s", stand_in)
+    searched = _spy_on_search(monkeypatch)
+    result = verify.run_suite("main")
+    assert (result.passed, result.detail) == (True, "34 overlap-free squares classified")
+    assert searched == _squares()
