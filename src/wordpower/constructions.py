@@ -101,7 +101,7 @@ def _steered(bits: str, word: str, keep: int) -> str:
     return word
 
 
-_BIT_SPEC_RE = re.compile(r"^([01]*)\(([01]+)\)$")
+_BIT_SPEC_RE = re.compile(r"([01]*)\(([01]+)\)")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class BitSpec:
 
 def parse_bit_spec(text: str) -> BitSpec:
     """Parse "prefix(block)", e.g. "(0)", "1(10)", "01(1)"."""
-    m = _BIT_SPEC_RE.match(text)
+    m = _BIT_SPEC_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed bit spec {text!r}; expected like '01(10)'")
     return BitSpec(m.group(1), m.group(2))

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable
-
-import numpy as np
 
 from .atlas import (
     atlas_members,
@@ -90,17 +89,17 @@ def _all_words(max_length: int) -> list[str]:
 
 
 def _repetitions_by_word(words: list[str], threshold: Fraction | int, strict: bool) -> list[list[PowerOccurrence]]:
-    """``list_repetitions`` of each binary word, one kernel call per 126 words joined, each
-    ended by a separator no run holds: at exponent >= 2 each letter of a run recurs p away in it."""
+    """``list_repetitions`` of each binary word, one kernel call per 126 words joined, each ended by a separator
+    no run holds (at exponent >= 2 each letter of a run recurs p away in it); ``bisect`` maps runs back."""
     if threshold < 2:
         raise ValueError(f"threshold {threshold} is below 2: runs can cross the separators")
     out: list[list[PowerOccurrence]] = [[] for _ in words]
     for first in range(0, len(words), len(_SEPARATORS)):
         chunk = words[first : first + len(_SEPARATORS)]
-        offsets = np.cumsum([0] + [len(w) + 1 for w in chunk]).tolist()
-        runs = list_repetitions("".join(map("".join, zip(chunk, _SEPARATORS))), threshold, strict)
-        for occ, i in zip(runs, np.searchsorted(offsets, [occ.start for occ in runs], "right").tolist()):
-            out[first + i - 1].append(PowerOccurrence(occ.start - offsets[i - 1], occ.period, occ.length))
+        offsets = list(accumulate((len(w) + 1 for w in chunk), initial=0))
+        for occ in list_repetitions("".join(map("".join, zip(chunk, _SEPARATORS))), threshold, strict):
+            i = bisect_right(offsets, occ.start) - 1
+            out[first + i].append(PowerOccurrence(occ.start - offsets[i], occ.period, occ.length))
     return out
 
 
@@ -125,10 +124,13 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
     mu(y)[-2k:].  Both premises are checked first, and the detail counts
     the 2^k pairs each group decides.
 
-    The images of the 2^n words of length n are one (2^n, 2n) array of
-    code points, one a letter whatever the letters, so one comparison a k
-    and side decides 2^n groups: word i's image against the k-letter
-    image at index i >> (n - k) (prefix) or i & (2^k - 1) (suffix).
+    If every shorter word holds all its groups, mu is a morphism on them,
+    and y holds at every k and side iff mu(y) = mu(y[:-1]) mu(y[-1]): the
+    prefix at k = n - 1 and the suffix at k = 1 give that equation, and
+    it makes the first and last 2k letters of mu(y) the images of y's
+    first and last k letters for every k.  So the first word, shortest
+    first, whose image is not that concatenation is the first y the loop
+    by y, then k, then prefix before suffix, fails on; it alone runs that loop.
     """
     words = _all_words(10)
     images = [MU.apply(w) for w in words]
@@ -139,26 +141,14 @@ def _check_prefix_suffix_transport() -> tuple[bool, str]:
     if len(preimage) < len(words):
         w, other = next((w, preimage[im]) for w, im in zip(words, images) if preimage[im] != w)
         return False, f"mu is not injective: mu({w!r}) = mu({other!r})"
-    # The words of length n are words[2^n - 1 : 2^(n+1) - 1].
-    rows = [images[(1 << n) - 1 : (2 << n) - 1] for n in range(11)]
-    rows = [np.frombuffer("".join(row).encode("utf-32-le"), np.uint32).reshape(len(row), -1) for row in rows]
-    pairs = 0
-    for n, my in enumerate(rows):
-        i = np.arange(1 << n)
-        # Column 2k + side: the first True is the first failure of a loop
-        # by y, then k, then prefix before suffix.
-        fails = np.stack([
-            (rows[k][at] != my[:, cut]).any(axis=1)
-            for k in range(n + 1)
-            for at, cut in ((i >> n - k, slice(2 * k)), (i & (1 << k) - 1, slice(2 * (n - k), None)))
-        ], axis=1)
-        if fails.any():
-            j, column = divmod(int(fails.argmax()), 2 * n + 2)
-            (k, suffix), y, image = divmod(column, 2), words[(1 << n) - 1 + j], images[(1 << n) - 1 + j]
-            part, x = (image[2 * (n - k) :], y[n - k :]) if suffix else (image[: 2 * k], y[:k])
-            return False, f"{('prefix', 'suffix')[suffix]} transport fails for x={preimage.get(part, x)!r} y={y!r}"
-        pairs += (1 << n) * ((2 << n) - 1)
-    return True, f"{pairs} ordered pairs checked"
+    image_of = dict(zip(words, images))
+    for y, my in zip(words[1:], images[1:]):
+        if my != image_of[y[:-1]] + image_of[y[-1]]:
+            for k in range(len(y) + 1):
+                for side, x, part in (("prefix", y[:k], my[: 2 * k]), ("suffix", y[len(y) - k :], my[2 * (len(y) - k) :])):
+                    if preimage.get(part) != x:
+                        return False, f"{side} transport fails for x={preimage.get(part, x)!r} y={y!r}"
+    return True, f"{sum((1 << n) * ((2 << n) - 1) for n in range(11))} ordered pairs checked"
 
 
 @_suite("shur")

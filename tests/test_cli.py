@@ -232,11 +232,15 @@ KNOWN_GENERATORS = "t, s, a, a-automatic, wb:<bits>, beta:<alpha>:<s>"
         (["gen", "beta:5/2:3e2", "4"], "error: malformed beta generator 'beta:5/2:3e2'; expected 'beta:<alpha>:<s>'"),
         (["gen", "beta:5/2:\u0663", "4"], "error: malformed beta generator 'beta:5/2:\u0663'; expected 'beta:<alpha>:<s>'"),
         (["squares", "wb:0(x)", "64"], "error: malformed bit spec '0(x)'; expected like '01(10)'"),
+        (["gen", "wb:0(1)\n", "4"], "error: malformed bit spec '0(1)\\n'; expected like '01(10)'"),
         (["squares", "0110", "5"], "error: a prefix length applies only to a generator input"),
         (["squares", "t"], "error: a generator input needs a prefix length"),
         (["gen", "nope", "3"], f"error: unknown generator 'nope'; known: {KNOWN_GENERATORS}"),
     ],
-    ids=["squares-beta", "gen-beta-s", "gen-beta-arabic-s", "squares-wb", "squares-word", "squares-t", "gen-nope"],
+    ids=[
+        "squares-beta", "gen-beta-s", "gen-beta-arabic-s", "squares-wb", "gen-wb-newline", "squares-word", "squares-t",
+        "gen-nope",
+    ],
 )
 def test_generator_input_error_lines(capsys, argv, line):
     # A malformed spec name reports its own parse error, not the length rule.

@@ -126,7 +126,7 @@ def test_bit_spec_parsing():
     assert parse_bit_spec("01(10)") == BitSpec("01", "10")
     assert parse_bit_spec("01(10)").bits(7) == "0110101"
     assert BitSpec("", "1").bits(0) == ""
-    for bad in ["", "01", "()", "(2)", "01(", "0)1("]:
+    for bad in ["", "01", "()", "(2)", "01(", "0)1(", "0(1)\n"]:
         with pytest.raises(ValueError):
             parse_bit_spec(bad)
 

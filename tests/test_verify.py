@@ -134,15 +134,18 @@ def test_tmmorph_passes_on_relabelled_mu(monkeypatch, images):
 # 2-uniform and injective, so both premises hold, but not morphisms.  The
 # first group that fails has a prefix and a suffix that fail (reversed),
 # only a suffix that fails (running xor), or an image factor that is no
-# image at all (first letter doubled).  The last two are mu but on the
+# image at all (first letter doubled).  The last three are mu but on the
 # 10-letter words, where the image is reversed (a prefix fails) or the
-# last letter complemented first (only a suffix fails).
+# last letter complemented first (only a suffix fails), or on the
+# 5-letter words, where the middle letter is complemented first: neither
+# end of the image changes, only its middle.
 NOT_MORPHISMS = {
     "reversed": lambda w: MU.apply(w[::-1]),
     "running xor": lambda w: MU.apply("".join(str(w[: i + 1].count("1") % 2) for i in range(len(w)))),
     "first letter doubled": lambda w: w[:1] * 2 + MU.apply(w[1:]),
     "image reversed at 10": lambda w: MU.apply(w)[:: -1 if len(w) == 10 else 1],
     "last letter complemented at 10": lambda w: MU.apply(w[:-1] + "10"[int(w[-1])] if len(w) == 10 else w),
+    "middle block complemented at 5": lambda w: MU.apply(w[:2] + complement(w[2]) + w[3:] if len(w) == 5 else w),
 }
 
 
@@ -164,6 +167,57 @@ def test_tmmorph_decides_the_longest_words(monkeypatch, name, side):
     assert _transport_by_group(apply) == expected
     result = verify.run_suite("tmmorph")
     assert (result.passed, result.detail) == expected
+
+
+def _corruption(rng):
+    """A random change to mu's images of the n-letter words, n random: one
+    letter flipped in about half of them, two blocks swapped, the images
+    reversed, or an inner block complemented.  Returns (n, change)."""
+    kind = rng.choice(["flip", "swap", "reverse", "middle"])
+    n = rng.randint({"swap": 2, "middle": 3}.get(kind, 1), 10)
+    if kind == "flip":
+        at, chosen = rng.randrange(2 * n), {w for w in enumerate_words(n) if rng.random() < 0.5}
+        return n, lambda w, im: im[:at] + complement(im[at]) + im[at + 1 :] if w in chosen else im
+    if kind == "swap":
+        i, j = sorted(2 * b for b in rng.sample(range(n), 2))
+        return n, lambda w, im: im[:i] + im[j : j + 2] + im[i + 2 : j] + im[i : i + 2] + im[j + 2 :]
+    if kind == "reverse":
+        return n, lambda w, im: im[::-1]
+    b = 2 * rng.randrange(1, n - 1)
+    return n, lambda w, im: im[:b] + complement(im[b : b + 2]) + im[b + 2 :]
+
+
+def _corrupted_mu(rng):
+    """mu with one or two random corruptions, which may share a length."""
+    changes = [_corruption(rng) for _ in range(rng.randint(1, 2))]
+
+    def apply(w):
+        image = MU.apply(w)
+        for n, change in changes:
+            if len(w) == n:
+                image = change(w, image)
+        return image
+
+    return apply
+
+
+def test_tmmorph_matches_the_loop_by_group_on_corrupted_maps(monkeypatch):
+    rng = random.Random(0x7A5)
+    words = _words(10)
+    verdicts = []
+    for _ in range(50):
+        apply = _corrupted_mu(rng)
+        monkeypatch.setattr(verify, "MU", SimpleNamespace(apply=apply))
+        images = [apply(w) for w in words]
+        if len(set(images)) < len(images):  # every change keeps 2-uniformity
+            assert not verify.run_suite("tmmorph").passed
+            continue
+        expected = _transport_by_group(apply)
+        result = verify.run_suite("tmmorph")
+        assert (result.passed, result.detail) == expected
+        verdicts.append(expected[1].split()[0])
+    # Most maps keep both premises, and their failures name both sides.
+    assert len(verdicts) >= 40 and {"prefix", "suffix"} <= set(verdicts)
 
 
 # mu swapped and relabelled, and a morphism whose verdict names another
